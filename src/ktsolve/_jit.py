@@ -14,7 +14,7 @@ PURE_NUMPY = os.environ.get("KTS_PURE_NUMPY", "").strip() in {"1", "true", "yes"
 if not PURE_NUMPY:
     try:
         from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+    except ImportError:  # numba is optional: fall back to the interpreted kernels
         PURE_NUMPY = True
 
 if PURE_NUMPY:

@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import Basis, derivative_bi, eval_bi, eval_bi_grid
+from . import kernels
+from .basis import Basis, conversion_matrix, convert, derivative_bi, eval_bi, eval_bi_grid
 from .bounding import bounding_interval_bi, bounding_polytope, contains_origin, gamma, theta
 from .reparam import Patch, reparametrize
 
@@ -36,6 +37,7 @@ log = logging.getLogger("ktsolve.solver")
 
 _SINGULAR_REL = 1e-14
 _REPORT_SLACK = 1e-9
+_RHO_REL_WIDTH = 1e-6
 RHO_CAP = 4.0
 
 
@@ -116,6 +118,72 @@ class _Frame:
             derivative_bi(self.fv, 1),
         )
 
+    @cached_property
+    def taylor_base(self):
+        """The second partials in power form, ready for Taylor shifts.
+
+        Each partial is expressed in the reference variable
+        t = -1 + 2(x - lo)/s on [-1, 1]^2 and zero-padded into one grid of
+        shape (M, N, 3, 2), so that one shift matrix per axis serves all
+        three. Each also carries the exponents i + j of the radius
+        scaling, the per-degree matrices that take power form on [-1, 1]
+        back to the system's basis, and its weight in the row sums
+        (g_uv counts twice).
+        """
+        basis = self.f.basis
+        powers = [convert(g2, Basis.POWER).coeffs for g2 in self.second_partials]
+        grid = np.zeros(
+            (max(p.shape[0] for p in powers), max(p.shape[1] for p in powers), 3, 2)
+        )
+        parts = []
+        for k, (p, mult) in enumerate(zip(powers, (1.0, 2.0, 1.0))):
+            m1, n1, _ = p.shape
+            grid[:m1, :n1, k] = p
+            parts.append(
+                (
+                    np.add.outer(np.arange(m1), np.arange(n1)),
+                    conversion_matrix(Basis.POWER, basis, m1 - 1).matrix,
+                    conversion_matrix(Basis.POWER, basis, n1 - 1).matrix.T,
+                    mult,
+                )
+            )
+        return grid, parts
+
+    def lipschitz_at(self, jac_inv, center):
+        """Lipschitz bound of y -> jac_inv @ g'(y) over square balls about
+        a canonical point, as a function of the ball's half-width r.
+
+        The partials are mixed with jac_inv and Taylor-shifted to the
+        centre once, here. Each radius then scales coefficient (i, j) by
+        (2r/s)^(i+j), takes each partial back to the system's basis with
+        two small products, and bounds it with bounding_interval_bi, the
+        same enclosure a restriction to the ball would get.
+        """
+        grid, parts = self.taylor_base
+        t0 = -1.0 + 2.0 * (np.asarray(center, dtype=np.float64) - self.lo) / self.s
+        # column p of each shift matrix holds the power coefficients of (t0 + tau)^p
+        shift_u = kernels.power_affine_cols(np.eye(grid.shape[0]), 1.0, t0[0])
+        shift_v = kernels.power_affine_cols(np.eye(grid.shape[1]), 1.0, t0[1])
+        mixed = np.moveaxis(grid @ np.asarray(jac_inv).T, (2, 3), (0, 1))
+        shifted = shift_u @ mixed @ shift_v.T  # (partial, row of jac_inv, i, j)
+        pieces = []
+        for k, (expo, back_u, back_vt, mult) in enumerate(parts):
+            m1, n1 = expo.shape
+            g = np.ascontiguousarray(shifted[k, :, :m1, :n1])
+            pieces.append((g, expo, back_u, back_vt, mult))
+
+        def bound(r):
+            h = 2.0 * r / self.s
+            row_sums = [0.0, 0.0]
+            for g, expo, back_u, back_vt, mult in pieces:
+                c = back_u @ (g * h**expo) @ back_vt
+                for i in (0, 1):
+                    lo, hi = bounding_interval_bi(self.f.basis, c[i])
+                    row_sums[i] += mult * max(abs(lo), abs(hi))
+            return max(row_sums)
+
+        return bound
+
     def value(self, x):
         t = self.canon(x)
         return eval_bi(self.f, t[0], t[1])
@@ -159,16 +227,7 @@ def lipschitz_bound(f, jac_inv_at, ball, *, _frame=None):
     ball, the Jacobian inverse, and the returned constant.
     """
     fr = _frame or _Frame(f)
-    guu, guv, gvv = fr.second_partials
-    row_sums = [0.0, 0.0]
-    for g2, mult in ((guu, 1.0), (guv, 2.0), (gvv, 1.0)):
-        restricted = reparametrize(g2, ball, allow_outside=True)
-        c = restricted.coeffs
-        for i in (0, 1):
-            mixed = jac_inv_at[i, 0] * c[:, :, 0] + jac_inv_at[i, 1] * c[:, :, 1]
-            lo, hi = bounding_interval_bi(f.basis, mixed)
-            row_sums[i] += mult * max(abs(lo), abs(hi))
-    return max(row_sums)
+    return fr.lipschitz_at(jac_inv_at, ball.center)(ball.half_width)
 
 
 def _omega_unit(fr, jac_inv_raw, center_unit, radius_unit):
@@ -238,9 +297,12 @@ def newton(f, x0, config=None, *, _frame=None):
 def rho_star(f, zero, config=None, *, _frame=None):
     """Radius of certified uniqueness around a zero, with its omega.
 
-    Solves rho * omega_hat(rho) = 2 by bisection on [0, RHO_CAP]; when
-    even the cap's ball has omega small enough (or zero, for affine
-    systems) the cap itself is returned.
+    Solves rho * omega_hat(rho) = 2 by bisection on [0, RHO_CAP], until
+    the bracket's width is at most 1e-6 of its lower end or
+    rho_search_iters steps have run, and returns that lower end: the
+    largest radius the test accepted, so rho * omega <= 2 holds as
+    computed. When even the cap's ball has omega small enough (or zero,
+    for affine systems) the cap itself is returned.
     """
     cfg = config or SolverConfig()
     fr = _frame or _Frame(f)
@@ -248,24 +310,27 @@ def rho_star(f, zero, config=None, *, _frame=None):
     inv = _inv2(fr.jacobian(x))
     if inv is None:
         raise ValueError("Jacobian is singular at the zero")
-    jac_inv_raw = fr.s * inv
+    bound = fr.lipschitz_at(fr.s * inv, fr.canon(x))
 
     def omega_hat(rho):
-        return _omega_unit(fr, jac_inv_raw, x, rho)
+        return fr.s * bound(fr.s * rho)
 
     w_cap = omega_hat(RHO_CAP)
     if w_cap == 0.0 or RHO_CAP * w_cap <= 2.0:
         return RHO_CAP, w_cap
-    lo, hi = 0.0, RHO_CAP
+    lo, hi, w_lo = 0.0, RHO_CAP, None
     for _ in range(cfg.rho_search_iters):
+        if hi - lo <= _RHO_REL_WIDTH * lo:
+            break
         mid = 0.5 * (lo + hi)
         w = omega_hat(mid)
         if w == 0.0 or mid * w < 2.0:
-            lo = mid
+            lo, w_lo = mid, w
         else:
             hi = mid
-    rho = 0.5 * (lo + hi)
-    return rho, omega_hat(rho)
+    if w_lo is None:  # no positive radius passed within the step cap
+        w_lo = omega_hat(0.0)
+    return lo, w_lo
 
 
 def kts_solve(f, config=None):

@@ -1,9 +1,18 @@
 """Shared test utilities: system builders and the grid+Newton zero oracle."""
 
+import os
+
 import numpy as np
 
+import ktsolve
 from ktsolve import Basis, BivariateSystem, kernels, newton
 from ktsolve.basis import eval_bi, eval_bi_grid
+
+
+def package_root():
+    """Directory holding the ktsolve package this process imported, so a
+    child interpreter finds it from a source checkout or an install."""
+    return os.path.dirname(os.path.dirname(ktsolve.__file__))
 
 
 def unit_power_system(grid):
@@ -46,6 +55,13 @@ def eval_map_grid(f, xs, ys):
 
 def random_system(rng, basis, m, n, components=2):
     return BivariateSystem(basis, rng.standard_normal((m + 1, n + 1, components)))
+
+
+def protocol_system(seed):
+    """One random Chebyshev system following the study protocol."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    return BivariateSystem(Basis.CHEBYSHEV, rng.standard_normal((k + 1, k + 1, 2)))
 
 
 def reference_zeros(f, grid_n=201, dedup=1e-6, slack=1e-9):

@@ -27,6 +27,7 @@ import pytest
 
 from helpers import (
     eval_map_grid,
+    protocol_system,
     random_system,
     reference_zeros,
     sorted_zero_locations,
@@ -84,13 +85,6 @@ def match_zero_sets(a, b, tol):
 
 
 # ---------------------------------------------------------------- fixtures
-
-def protocol_system(seed):
-    """One random Chebyshev system following the study protocol."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 5))
-    return BivariateSystem(Basis.CHEBYSHEV, rng.standard_normal((k + 1, k + 1, 2)))
-
 
 def run_completeness(count=50, seed=600):
     """Solve the protocol systems in all bases against the grid oracle.

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-import ktsolve
 from ktsolve import Basis, BivariateSystem
 from ktsolve.cli import (
     EXIT_INPUT_ERROR,
@@ -20,7 +19,7 @@ from ktsolve.cli import (
     write_system,
 )
 
-from helpers import random_system, unit_power_system
+from helpers import package_root, random_system, unit_power_system
 
 
 def affine_center_file(tmp_path, name="sys.json"):
@@ -220,20 +219,18 @@ class TestEntryPoint:
             [sys.executable, "-m", "ktsolve.cli", "solve", "--input", str(path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": package_root()},
         )
         assert proc.returncode == 0
         assert "zeros found: 1" in proc.stdout
 
     def test_kts_log_info_goes_to_stderr(self, tmp_path):
         path = affine_center_file(tmp_path)
-        # The minimal environment still has to find the ktsolve package this
-        # process imported, whether from a source checkout or an install.
-        package_root = os.path.dirname(os.path.dirname(ktsolve.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "ktsolve.cli", "solve", "--input", str(path)],
             capture_output=True,
             text=True,
-            env={"KTS_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env={"KTS_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root()},
         )
         assert proc.returncode == 0, proc.stderr
         assert "zeros found: 1" in proc.stdout

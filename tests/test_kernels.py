@@ -14,6 +14,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
 import pytest
+from helpers import package_root
 from scipy.special import comb
 
 from ktsolve import kernels
@@ -62,7 +63,7 @@ print(backend_name(), h.hexdigest())
 
 
 def run_battery(pure):
-    env = dict(os.environ)
+    env = {**os.environ, "PYTHONPATH": package_root()}
     if pure:
         env["KTS_PURE_NUMPY"] = "1"
     else:
@@ -189,7 +190,7 @@ class TestKernelValues:
 class TestBackendParity:
     def test_backend_name_reflects_env(self):
         code = "from ktsolve._jit import backend_name; print(backend_name())"
-        env = dict(os.environ)
+        env = {**os.environ, "PYTHONPATH": package_root()}
         env["KTS_PURE_NUMPY"] = "1"
         pure = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env

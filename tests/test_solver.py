@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     eval_map,
     eval_map_grid,
+    protocol_system,
     random_system,
     reference_zeros,
     sorted_zero_locations,
@@ -28,6 +29,8 @@ from ktsolve import (
     rho_star,
 )
 from ktsolve.basis import derivative_bi, eval_bi
+from ktsolve.bounding import bounding_interval_bi
+from ktsolve.reparam import reparametrize
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 FULL = Patch((0.5, 0.5), 0.5)
@@ -49,6 +52,22 @@ def quad_pair():
     grid[2, 0] = (1.0, 0.0)
     grid[0, 1] = (0.0, 1.0)
     return unit_power_system(grid)
+
+
+def restricted_lipschitz_bound(f, jac_inv_at, ball):
+    """Reference bound: restrict each second partial to the ball, mix the
+    rows with jac_inv_at, and bound the restricted grids."""
+    gu = derivative_bi(f, 0)
+    gv = derivative_bi(f, 1)
+    partials = (derivative_bi(gu, 0), derivative_bi(gu, 1), derivative_bi(gv, 1))
+    row_sums = [0.0, 0.0]
+    for g2, mult in zip(partials, (1.0, 2.0, 1.0)):
+        c = reparametrize(g2, ball, allow_outside=True).coeffs
+        for i in (0, 1):
+            mixed = jac_inv_at[i, 0] * c[:, :, 0] + jac_inv_at[i, 1] * c[:, :, 1]
+            lo, hi = bounding_interval_bi(f.basis, mixed)
+            row_sums[i] += mult * max(abs(lo), abs(hi))
+    return max(row_sums)
 
 
 def random_patch_in_square(rng):
@@ -118,6 +137,23 @@ class TestLipschitz:
         g = BivariateSystem(Basis.POWER, c)
         got = lipschitz_bound(g, np.eye(2), Patch((0.5, 0.5), 0.1))
         assert got == 2.0
+
+    def test_matches_restricted_reference(self):
+        """The Taylor-grid bound equals the bound of the restricted partials,
+        for centres inside and outside the canonical square."""
+        rng = np.random.default_rng(83)
+        for basis in BASES:
+            lo, hi = basis.domain
+            for m in (2, 3, 4):
+                for n in (2, 3, 4):
+                    f = random_system(rng, basis, m, n)
+                    jac_inv = rng.standard_normal((2, 2))
+                    for r in (1e-3, 0.02, 0.3, 1.0, 4.0):
+                        center = tuple(rng.uniform(lo - 1.0, hi + 1.0, 2))
+                        ball = Patch(center, r)
+                        got = lipschitz_bound(f, jac_inv, ball)
+                        want = restricted_lipschitz_bound(f, jac_inv, ball)
+                        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dominates_sampled_quotients(self):
         """Bound is above every sampled difference quotient of jac_inv g'."""
@@ -383,6 +419,14 @@ class TestKtsSolve:
                 assert resid <= cfg.newton_tol * (1.0 + f.max_coeff_norm())
                 product = z.rho_star * z.omega_star
                 assert z.rho_star == 4.0 or 1.999 <= product <= 2.001
+
+    def test_certificates_satisfy_their_inequality(self):
+        """Every reported zero keeps rho * omega <= 2 as computed."""
+        for seed in range(600, 610):
+            f = protocol_system(seed)
+            for basis in BASES:
+                for z in kts_solve(convert(f, basis)).zeros:
+                    assert z.rho_star * z.omega_star <= 2.0, (seed, basis, z)
 
     def test_depth_floor_reports_unresolved(self):
         """A map vanishing on a curve cannot be resolved; the floor catches it."""
