@@ -128,7 +128,7 @@ _EVAL_COLS = {
 
 
 def _eval_cols(basis, cols, t):
-    return _EVAL_COLS[basis](np.ascontiguousarray(cols), float(t))
+    return _EVAL_COLS[basis](cols, t)
 
 
 def eval_uni(f, t):
@@ -253,18 +253,10 @@ def conversion_matrix(source, target, n):
         mat = _cheb_to_power_matrix(n)
     elif (source, target) == (Basis.POWER, Basis.BERNSTEIN):
         # remap [-1,1] power onto [0,1] (t = 2x - 1), then lift to Bernstein
-        shift = np.zeros((n + 1, n + 1))
-        for k in range(n + 1):
-            col = np.zeros((n + 1, 1))
-            col[k, 0] = 1.0
-            shift[:, k] = kernels.power_affine_cols(col, 2.0, -1.0)[:, 0]
+        shift = kernels.power_affine_cols(np.eye(n + 1), 2.0, -1.0)
         mat = _unit_power_to_bernstein_matrix(n) @ shift
     elif (source, target) == (Basis.BERNSTEIN, Basis.POWER):
-        unshift = np.zeros((n + 1, n + 1))
-        for k in range(n + 1):
-            col = np.zeros((n + 1, 1))
-            col[k, 0] = 1.0
-            unshift[:, k] = kernels.power_affine_cols(col, 0.5, 0.5)[:, 0]
+        unshift = kernels.power_affine_cols(np.eye(n + 1), 0.5, 0.5)
         mat = unshift @ _bernstein_to_unit_power_matrix(n)
     else:
         # Bernstein <-> Chebyshev route through power

@@ -81,7 +81,7 @@ def bounding_polytope(f):
     center = pts[0].copy()
     gens = pts[1:]
     keep = np.abs(gens).max(axis=1) > 0.0
-    return Zonotope(center, np.ascontiguousarray(gens[keep]), f.basis)
+    return Zonotope(center, gens[keep], f.basis)
 
 
 def _segment_distance(a, b, tol):
@@ -97,14 +97,7 @@ def _segment_distance(a, b, tol):
 def contains_origin(p, tol=0.0):
     """Whether the origin lies in the polytope (boundary counts as inside)."""
     if isinstance(p, Zonotope):
-        return bool(
-            kernels.zonotope_origin_inside(
-                float(p.center[0]),
-                float(p.center[1]),
-                np.ascontiguousarray(p.generators, dtype=np.float64),
-                float(tol),
-            )
-        )
+        return kernels.zonotope_origin_inside(p.center[0], p.center[1], p.generators, tol)
     v = p.vertices
     if v.shape[0] == 1:
         return float(np.hypot(*v[0])) <= tol
@@ -183,7 +176,10 @@ def gamma(th):
     """Patch-enlargement factor 1 / (4*sqrt(theta*(4*theta+1)) - 8*theta).
 
     Decreases monotonically from about 1.059 at theta = 1 toward 1.
+    Evaluated as (4*sqrt(theta*(4*theta+1)) + 8*theta) / (16*theta), the
+    same value without the cancellation that the difference suffers for
+    large theta.
     """
     if th < 1.0:
         raise ValueError("theta must be >= 1")
-    return 1.0 / (4.0 * math.sqrt(th * (4.0 * th + 1.0)) - 8.0 * th)
+    return (4.0 * math.sqrt(th * (4.0 * th + 1.0)) + 8.0 * th) / (16.0 * th)

@@ -61,6 +61,8 @@ def parse_system(path):
         coeffs = np.asarray(data["coeffs"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SystemFileError(f"{path}: coeffs is not a numeric grid: {exc}") from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise SystemFileError(f"{path}: coeffs holds a non-finite value")
     expected = (int(data["m"]) + 1, int(data["n"]) + 1, 2)
     if coeffs.shape != expected:
         raise SystemFileError(

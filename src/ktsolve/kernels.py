@@ -1,9 +1,11 @@
 """Numeric cores shared by evaluation, reparametrization, and the solver.
 
-Every function here is written as explicit loops over C-contiguous
-float64 arrays so the bodies compile under numba's nopython mode and run
-unchanged as pure Python when the JIT is disabled (see _jit). No BLAS
-calls: results are bit-identical across both backends.
+Each kernel is NumPy array code that works on all columns at once and
+loops in Python over the degree only. The six restriction kernels
+(power_affine_cols, cheb_affine_rows, mat_apply_cols, mat_t_apply_cols,
+bernstein_patch_matrix, zonotope_origin_inside) keep their own names
+even where the body is a single product: perfbench/spans.py wraps these
+functions by name to time the kernel layer under the solver.
 
 Coefficient layout convention: univariate data is (n+1, K) with columns
 processed independently, which lets bivariate tensor grids pass through
@@ -12,76 +14,50 @@ as reshaped column blocks.
 
 import numpy as np
 
-from ._jit import njit
 
-
-@njit
 def horner_cols(c, t):
     """Evaluate power-basis columns at scalar t."""
-    n1, k = c.shape
-    out = np.empty(k)
-    for j in range(k):
-        acc = c[n1 - 1, j]
-        for i in range(n1 - 2, -1, -1):
-            acc = acc * t + c[i, j]
-        out[j] = acc
-    return out
+    acc = c[-1].copy()
+    for i in range(c.shape[0] - 2, -1, -1):
+        acc = acc * t + c[i]
+    return acc
 
 
-@njit
 def decasteljau_cols(c, t):
     """Evaluate Bernstein-basis columns at scalar t (stable outside [0,1] too)."""
-    n1, k = c.shape
+    n1 = c.shape[0]
     work = c.copy()
     s = 1.0 - t
     for r in range(1, n1):
-        for i in range(n1 - r):
-            for j in range(k):
-                work[i, j] = s * work[i, j] + t * work[i + 1, j]
-    out = np.empty(k)
-    for j in range(k):
-        out[j] = work[0, j]
-    return out
+        work[: n1 - r] = s * work[: n1 - r] + t * work[1 : n1 - r + 1]
+    return work[0].copy()
 
 
-@njit
 def clenshaw_cols(c, t):
     """Evaluate Chebyshev-basis columns at scalar t."""
-    n1, k = c.shape
-    out = np.empty(k)
     two_t = 2.0 * t
-    for j in range(k):
-        b1 = 0.0
-        b2 = 0.0
-        for i in range(n1 - 1, 0, -1):
-            b = two_t * b1 - b2 + c[i, j]
-            b2 = b1
-            b1 = b
-        out[j] = t * b1 - b2 + c[0, j]
-    return out
+    b1 = np.zeros(c.shape[1])
+    b2 = np.zeros(c.shape[1])
+    for i in range(c.shape[0] - 1, 0, -1):
+        b1, b2 = two_t * b1 - b2 + c[i], b1
+    return t * b1 - b2 + c[0]
 
 
-@njit
 def power_affine_cols(c, a, b):
     """Coefficients of p(a*t + b) for each power-basis column of c.
 
     Synthetic-division composition: exact for the affine argument, O(n^2)
     per column.
     """
-    n1, k = c.shape
-    out = np.zeros((n1, k))
-    for j in range(k):
-        out[0, j] = c[n1 - 1, j]
-        deg = 0
-        for i in range(n1 - 2, -1, -1):
-            for m in range(deg + 1, 0, -1):
-                out[m, j] = a * out[m - 1, j] + b * out[m, j]
-            out[0, j] = b * out[0, j] + c[i, j]
-            deg += 1
+    n1 = c.shape[0]
+    out = np.zeros(c.shape)
+    out[0] = c[-1]
+    for deg, i in enumerate(range(n1 - 2, -1, -1)):
+        out[1 : deg + 2] = a * out[: deg + 1] + b * out[1 : deg + 2]
+        out[0] = b * out[0] + c[i]
     return out
 
 
-@njit
 def cheb_affine_rows(n, a, b):
     """Rows lam[i] = Chebyshev coefficients of T_i(a*t + b), i = 0..n.
 
@@ -95,49 +71,26 @@ def cheb_affine_rows(n, a, b):
         lam[1, 1] = a
     for i in range(1, n):
         # 2*(a*t + b) * T_i(a*t+b) contributions
-        lam[i + 1, 1] += 2.0 * a * lam[i, 0]
-        for q in range(1, i + 1):
-            lam[i + 1, q + 1] += a * lam[i, q]
-            lam[i + 1, q - 1] += a * lam[i, q]
-        for q in range(i + 1):
-            lam[i + 1, q] += 2.0 * b * lam[i, q]
+        nxt = lam[i + 1]
+        nxt[1] += 2.0 * a * lam[i, 0]
+        nxt[2 : i + 2] += a * lam[i, 1 : i + 1]
+        nxt[:i] += a * lam[i, 1 : i + 1]
+        nxt[: i + 1] += 2.0 * b * lam[i, : i + 1]
         # minus T_{i-1}(a*t+b)
-        for q in range(i):
-            lam[i + 1, q] -= lam[i - 1, q]
+        nxt[:i] -= lam[i - 1, :i]
     return lam
 
 
-@njit
 def mat_apply_cols(m, c):
-    """out = m @ c with explicit loops (no BLAS, backend-stable)."""
-    rows, inner = m.shape
-    _, k = c.shape
-    out = np.zeros((rows, k))
-    for i in range(rows):
-        for p in range(inner):
-            mip = m[i, p]
-            if mip != 0.0:
-                for j in range(k):
-                    out[i, j] += mip * c[p, j]
-    return out
+    """out = m @ c."""
+    return m @ c
 
 
-@njit
 def mat_t_apply_cols(m, c):
     """out = m.T @ c, i.e. out[q] = sum_i m[i, q] * c[i]."""
-    inner, cols = m.shape
-    _, k = c.shape
-    out = np.zeros((cols, k))
-    for i in range(inner):
-        for q in range(cols):
-            miq = m[i, q]
-            if miq != 0.0:
-                for j in range(k):
-                    out[q, j] += miq * c[i, j]
-    return out
+    return m.T @ c
 
 
-@njit
 def bernstein_patch_matrix(n, p, q, e, f):
     """Matrix M with M[k, i] = coefficient of u^k (1-u)^(n-k) in
     (p*u + q*(1-u))^i * (e*u + f*(1-u))^(n-i).
@@ -152,26 +105,18 @@ def bernstein_patch_matrix(n, p, q, e, f):
     pw[0, 0] = 1.0
     ef[0, 0] = 1.0
     for i in range(1, n + 1):
-        for s in range(i + 1):
-            acc = q * pw[i - 1, s]
-            if s > 0:
-                acc += p * pw[i - 1, s - 1]
-            pw[i, s] = acc
-            acc2 = f * ef[i - 1, s]
-            if s > 0:
-                acc2 += e * ef[i - 1, s - 1]
-            ef[i, s] = acc2
+        pw[i, : i + 1] = q * pw[i - 1, : i + 1]
+        pw[i, 1 : i + 1] += p * pw[i - 1, :i]
+        ef[i, : i + 1] = f * ef[i - 1, : i + 1]
+        ef[i, 1 : i + 1] += e * ef[i - 1, :i]
+    # column i is the product of row i of pw and row n - i of ef
+    ef_cols = ef[::-1].T  # ef_cols[t, i] = ef[n - i, t]
     out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for s in range(i + 1):
-            ps = pw[i, s]
-            if ps != 0.0:
-                for t in range(n - i + 1):
-                    out[s + t, i] += ps * ef[n - i, t]
+    for s in range(n + 1):
+        out[s:] += pw[:, s] * ef_cols[: n + 1 - s]
     return out
 
 
-@njit
 def zonotope_origin_inside(cx, cy, gens, tol):
     """Exact 2-D zonotope membership test for the origin.
 
@@ -180,51 +125,9 @@ def zonotope_origin_inside(cx, cy, gens, tol):
     along the direction does not exceed the total generator reach. Axis
     directions cover the degenerate point/segment cases.
     """
-    g = gens.shape[0]
-    for d in range(g + 2):
-        if d < g:
-            dx = -gens[d, 1]
-            dy = gens[d, 0]
-            if dx == 0.0 and dy == 0.0:
-                continue
-        elif d == g:
-            dx = 1.0
-            dy = 0.0
-        else:
-            dx = 0.0
-            dy = 1.0
-        reach = 0.0
-        for i in range(g):
-            reach += abs(dx * gens[i, 0] + dy * gens[i, 1])
-        if abs(dx * cx + dy * cy) > reach + tol:
-            return False
-    return True
-
-
-@njit
-def abs_sum_tail_cols(c):
-    """For each column: sum of |entries| beyond the first row."""
-    n1, k = c.shape
-    out = np.zeros(k)
-    for j in range(k):
-        acc = 0.0
-        for i in range(1, n1):
-            acc += abs(c[i, j])
-        out[j] = acc
-    return out
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    c = np.array([[1.0, 2.0], [0.5, -1.0]])
-    horner_cols(c, 0.3)
-    decasteljau_cols(c, 0.3)
-    clenshaw_cols(c, 0.3)
-    power_affine_cols(c, 0.5, 0.25)
-    cheb_affine_rows(3, 0.5, 0.25)
-    m = np.eye(2)
-    mat_apply_cols(m, c)
-    mat_t_apply_cols(m, c)
-    bernstein_patch_matrix(2, 0.75, 0.25, 0.25, 0.75)
-    zonotope_origin_inside(0.1, 0.1, np.array([[1.0, 0.0], [0.0, 1.0]]), 0.0)
-    abs_sum_tail_cols(c)
+    normal = (gens[:, 0] != 0.0) | (gens[:, 1] != 0.0)
+    dx = np.concatenate((-gens[normal, 1], [1.0, 0.0]))
+    dy = np.concatenate((gens[normal, 0], [0.0, 1.0]))
+    # reach[d] sums |<direction d, generator i>| over generators in order
+    reach = np.abs(dx * gens[:, :1] + dy * gens[:, 1:]).sum(axis=0)
+    return not np.any(np.abs(dx * cx + dy * cy) > reach + tol)

@@ -59,7 +59,7 @@ def cheb_affine(a, b, n):
     """Expansion matrix of the affine argument substitution t -> a*t + b."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return ChebAffineMatrix(float(a), float(b), kernels.cheb_affine_rows(n, float(a), float(b)))
+    return ChebAffineMatrix(float(a), float(b), kernels.cheb_affine_rows(n, a, b))
 
 
 def _axis_restrict(basis, cols, center, r):
@@ -76,8 +76,7 @@ def _axis_restrict(basis, cols, center, r):
     mat = kernels.bernstein_patch_matrix(
         n, center + r, center - r, 1.0 - center - r, 1.0 - center + r
     )
-    scaled = np.ascontiguousarray(cols * binom[:, None])
-    return kernels.mat_apply_cols(mat, scaled) / binom[:, None]
+    return kernels.mat_apply_cols(mat, cols * binom[:, None]) / binom[:, None]
 
 
 def reparametrize(f, x, allow_outside=False):
@@ -103,6 +102,6 @@ def reparametrize(f, x, allow_outside=False):
     m1, n1, d = f.coeffs.shape
     (u0, v0), r = x.center, x.half_width
     cols = _axis_restrict(f.basis, f.coeffs.reshape(m1, n1 * d), u0, r)
-    grid = np.ascontiguousarray(np.swapaxes(cols.reshape(m1, n1, d), 0, 1))
+    grid = np.swapaxes(cols.reshape(m1, n1, d), 0, 1)
     cols = _axis_restrict(f.basis, grid.reshape(n1, m1 * d), v0, r)
     return BivariateSystem(f.basis, np.swapaxes(cols.reshape(n1, m1, d), 0, 1))

@@ -83,6 +83,8 @@ class _Frame:
     """Cached per-system data: unit-square map, derivatives, constants."""
 
     def __init__(self, f):
+        if not np.all(np.isfinite(f.coeffs)):
+            raise ValueError("system coefficients must be finite")
         self.f = f
         lo, hi = f.basis.domain
         self.lo = lo

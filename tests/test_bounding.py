@@ -326,6 +326,13 @@ class TestConstants:
         assert all(v > 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_gamma_at_high_degree(self):
+        """No cancellation for large theta (power degree 13 has theta ~ 2e15)."""
+        for basis in Basis:
+            vals = [gamma(theta(basis, m, m)) for m in range(1, 16)]
+            assert all(1.0 <= v <= 1.06 for v in vals), (basis, vals)
+            assert all(a >= b for a, b in zip(vals, vals[1:])), (basis, vals)
+
     def test_gamma_rejects_below_one(self):
         with pytest.raises(ValueError):
             gamma(0.5)

@@ -148,6 +148,17 @@ class TestSolveCommand:
         assert code == EXIT_UNRESOLVED
         assert "unresolved patches" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
+        """A NaN in the file is rejected up front, not subdivided to the floor."""
+        path = affine_center_file(tmp_path)
+        data = json.loads(path.read_text())
+        data["coeffs"][1][0][0] = float("nan")
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        code = main(["solve", "--input", str(path), "--max-depth", "6"])
+        assert code == EXIT_INPUT_ERROR
+        assert "non-finite" in capsys.readouterr().err
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "absent.json")])
         assert code == EXIT_INPUT_ERROR

@@ -1,78 +1,11 @@
-"""Numeric kernels: reference values and JIT/pure-python backend parity.
-
-The bit-identity comparison between the numba and pure-python backends
-needs numba; where numba cannot be imported it is skipped, because both
-sides would then run the same pure-python code.
-"""
-
-import importlib.util
-import os
-import subprocess
-import sys
+"""Numeric kernels: reference values from NumPy, SciPy and direct expansion."""
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
-import pytest
-from helpers import package_root
 from scipy.special import comb
 
 from ktsolve import kernels
-from ktsolve._jit import backend_name
-
-# Deterministic battery over every kernel; prints one digest line. Run in
-# fresh interpreters under both backends to check bit-identical results;
-# that comparison needs numba and is skipped where numba cannot be imported.
-BATTERY = r"""
-import hashlib
-import numpy as np
-from ktsolve import kernels
-from ktsolve._jit import backend_name
-
-rng = np.random.default_rng(2024)
-h = hashlib.sha256()
-for trial in range(20):
-    n1 = int(rng.integers(1, 8))
-    k = int(rng.integers(1, 4))
-    c = np.ascontiguousarray(rng.standard_normal((n1, k)))
-    t = float(rng.uniform(-1.2, 1.2))
-    a = float(rng.uniform(-1.0, 1.0))
-    b = float(rng.uniform(-1.0, 1.0))
-    h.update(kernels.horner_cols(c, t).tobytes())
-    h.update(kernels.decasteljau_cols(c, t).tobytes())
-    h.update(kernels.clenshaw_cols(c, t).tobytes())
-    h.update(kernels.power_affine_cols(c, a, b).tobytes())
-    h.update(kernels.cheb_affine_rows(n1 - 1, a, b).tobytes())
-    m = np.ascontiguousarray(rng.standard_normal((n1, n1)))
-    h.update(kernels.mat_apply_cols(m, c).tobytes())
-    h.update(kernels.mat_t_apply_cols(m, c).tobytes())
-    h.update(
-        kernels.bernstein_patch_matrix(
-            n1 - 1, float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
-            float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        ).tobytes()
-    )
-    gens = np.ascontiguousarray(rng.standard_normal((int(rng.integers(1, 6)), 2)))
-    inside = kernels.zonotope_origin_inside(
-        float(rng.standard_normal()), float(rng.standard_normal()), gens, 1e-12
-    )
-    h.update(b"1" if inside else b"0")
-    h.update(kernels.abs_sum_tail_cols(c).tobytes())
-print(backend_name(), h.hexdigest())
-"""
-
-
-def run_battery(pure):
-    env = {**os.environ, "PYTHONPATH": package_root()}
-    if pure:
-        env["KTS_PURE_NUMPY"] = "1"
-    else:
-        env.pop("KTS_PURE_NUMPY", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", BATTERY], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
 
 
 class TestKernelValues:
@@ -134,17 +67,19 @@ class TestKernelValues:
                 assert np.allclose(via_rows, direct, rtol=1e-11, atol=1e-11)
 
     def test_mat_apply_matches_matmul(self):
+        """Both products against explicit sums over the inner index."""
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 6))
         c = rng.standard_normal((6, 3))
-        got = kernels.mat_apply_cols(
-            np.ascontiguousarray(m), np.ascontiguousarray(c)
+        want = np.array(
+            [[sum(m[i, p] * c[p, j] for p in range(6)) for j in range(3)] for i in range(4)]
         )
-        assert np.allclose(got, m @ c, rtol=1e-13, atol=1e-13)
-        got_t = kernels.mat_t_apply_cols(
-            np.ascontiguousarray(rng.standard_normal((6, 4))), np.ascontiguousarray(c)
+        assert np.allclose(kernels.mat_apply_cols(m, c), want, rtol=1e-13, atol=1e-13)
+        mt = rng.standard_normal((6, 4))
+        want_t = np.array(
+            [[sum(mt[i, q] * c[i, j] for i in range(6)) for j in range(3)] for q in range(4)]
         )
-        assert got_t.shape == (4, 3)
+        assert np.allclose(kernels.mat_t_apply_cols(mt, c), want_t, rtol=1e-13, atol=1e-13)
 
     def test_bernstein_patch_identity(self):
         """The full-square patch (lo=0, hi=1) reproduces every control row."""
@@ -178,40 +113,3 @@ class TestKernelValues:
         empty = np.zeros((0, 2))
         assert kernels.zonotope_origin_inside(0.0, 0.0, empty, 0.0)
         assert not kernels.zonotope_origin_inside(1e-9, 0.0, empty, 0.0)
-
-    def test_abs_sum_tail(self):
-        c = np.array([[1.0, -1.0], [2.0, 0.5], [-3.0, 0.25]])
-        assert np.array_equal(kernels.abs_sum_tail_cols(c), [5.0, 0.75])
-
-    def test_warmup_runs(self):
-        kernels.warmup()
-
-
-class TestBackendParity:
-    def test_backend_name_reflects_env(self):
-        code = "from ktsolve._jit import backend_name; print(backend_name())"
-        env = {**os.environ, "PYTHONPATH": package_root()}
-        env["KTS_PURE_NUMPY"] = "1"
-        pure = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert pure.stdout.strip() == "pure-numpy"
-        env.pop("KTS_PURE_NUMPY")
-        default = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        # Unforced, the JIT is used exactly when numba is importable.
-        has_numba = importlib.util.find_spec("numba") is not None
-        assert default.stdout.strip() == ("numba" if has_numba else "pure-numpy")
-
-    def test_backends_bit_identical(self):
-        """Both backends produce the same bytes over a randomized battery."""
-        pytest.importorskip("numba")
-        name_jit, digest_jit = run_battery(pure=False)
-        name_pure, digest_pure = run_battery(pure=True)
-        assert name_jit == "numba"
-        assert name_pure == "pure-numpy"
-        assert digest_jit == digest_pure
-
-    def test_in_process_backend(self):
-        assert backend_name() in ("numba", "pure-numpy")

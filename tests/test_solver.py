@@ -36,6 +36,49 @@ BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 FULL = Patch((0.5, 0.5), 0.5)
 
 
+# Recorded solver behaviour on the protocol systems of seeds 600-604; a
+# change that moves any value changes which patches the solver examines or
+# which zeros it reports. Counters per (seed, basis): patches_examined,
+# exclusion_passes, kantorovich_passes, skipped_subsumed, len(unresolved).
+PROTOCOL_COUNTERS = {
+    (600, Basis.POWER): (93, 56, 3, 14, 0),
+    (600, Basis.BERNSTEIN): (69, 38, 3, 14, 0),
+    (600, Basis.CHEBYSHEV): (93, 56, 3, 14, 0),
+    (601, Basis.POWER): (53, 28, 2, 12, 0),
+    (601, Basis.BERNSTEIN): (41, 19, 2, 12, 0),
+    (601, Basis.CHEBYSHEV): (53, 28, 2, 12, 0),
+    (602, Basis.POWER): (93, 51, 3, 19, 0),
+    (602, Basis.BERNSTEIN): (65, 32, 3, 17, 0),
+    (602, Basis.CHEBYSHEV): (93, 51, 3, 19, 0),
+    (603, Basis.POWER): (105, 64, 3, 15, 0),
+    (603, Basis.BERNSTEIN): (69, 37, 3, 15, 0),
+    (603, Basis.CHEBYSHEV): (101, 61, 3, 15, 0),
+    (604, Basis.POWER): (105, 66, 2, 13, 0),
+    (604, Basis.BERNSTEIN): (73, 46, 2, 9, 0),
+    (604, Basis.CHEBYSHEV): (105, 66, 2, 13, 0),
+}
+# Zero locations rounded to 1e-10; every basis finds the same set.
+PROTOCOL_ZEROS = {
+    600: [
+        (0.2300817687, 0.3056540255),
+        (0.3474177957, 0.6718021139),
+        (0.7541700415, 0.9151734842),
+    ],
+    601: [(0.4268943239, 0.2823360398), (0.8431481449, 0.0434859772)],
+    602: [
+        (0.5940032494, 0.8784805815),
+        (0.8758581257, 0.0616948399),
+        (0.961873543, 0.793342439),
+    ],
+    603: [
+        (0.2055285032, 0.1061513805),
+        (0.4501326003, 0.7946952496),
+        (0.8022150189, 0.6959532572),
+    ],
+    604: [(0.2497006226, 0.1931637281), (0.9688377732, 0.5309723052)],
+}
+
+
 def affine_center_root():
     """F(x, y) = (x - 0.5, y - 0.5) on the unit square."""
     grid = np.zeros((2, 2, 2))
@@ -427,6 +470,32 @@ class TestKtsSolve:
             for basis in BASES:
                 for z in kts_solve(convert(f, basis)).zeros:
                     assert z.rho_star * z.omega_star <= 2.0, (seed, basis, z)
+
+    def test_protocol_fingerprints(self):
+        """Counters and zero sets of the protocol systems stay as recorded."""
+        for (seed, basis), counters in PROTOCOL_COUNTERS.items():
+            r = kts_solve(convert(protocol_system(seed), basis))
+            got = (
+                r.patches_examined,
+                r.exclusion_passes,
+                r.kantorovich_passes,
+                r.skipped_subsumed,
+                len(r.unresolved),
+            )
+            assert got == counters, (seed, basis)
+            zeros = sorted(
+                (round(float(z.location[0]), 10), round(float(z.location[1]), 10))
+                for z in r.zeros
+            )
+            assert zeros == PROTOCOL_ZEROS[seed], (seed, basis)
+
+    def test_rejects_non_finite_coefficients(self):
+        """A NaN coefficient fails fast instead of subdividing to the floor."""
+        coeffs = affine_center_root().coeffs.copy()
+        coeffs[1, 0, 0] = np.nan
+        f = BivariateSystem(Basis.POWER, coeffs)
+        with pytest.raises(ValueError, match="finite"):
+            kts_solve(f, SolverConfig(min_half_width=2**-6))
 
     def test_depth_floor_reports_unresolved(self):
         """A map vanishing on a curve cannot be resolved; the floor catches it."""
