@@ -42,7 +42,7 @@ from .families import (
     generate_family,
     interval_comparison,
 )
-from .reparam import ChebAffineMatrix, Patch, cheb_affine, reparametrize
+from .reparam import Patch, reparametrize
 from .solver import (
     KantorovichOutcome,
     SolveReport,
@@ -64,7 +64,6 @@ logging.getLogger("ktsolve").addHandler(logging.NullHandler())
 __all__ = [
     "Basis",
     "BivariateSystem",
-    "ChebAffineMatrix",
     "ControlHull",
     "ConversionMatrix",
     "DegreeLimitError",
@@ -80,7 +79,6 @@ __all__ = [
     "bernstein_product",
     "bounding_interval",
     "bounding_polytope",
-    "cheb_affine",
     "chebyshev_nodes",
     "condition_estimate",
     "contains_origin",

@@ -7,9 +7,13 @@ grid itself lives in: [-1,1]^2 for power/Chebyshev, [0,1]^2 for
 Bernstein. Coefficient-based range enclosures of the restricted grid
 then bound f's range over X, which is what drives the subdivision
 solver's exclusion and convergence tests.
+
+The solver restricts only once, to the whole square. Each of its patches
+carries its restricted grid, and subdivide_grid derives the four
+children's grids from it with the fixed per-axis halving_matrices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +48,6 @@ class Patch:
             Patch((u0 + du * h, v0 + dv * h), h)
             for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1))
         )
-
-
-@dataclass
-class ChebAffineMatrix:
-    """Rows: Chebyshev coefficients of T_i(a*t + b), lower triangular."""
-
-    a: float
-    b: float
-    rows: np.ndarray = field(repr=False)
-
-
-def cheb_affine(a, b, n):
-    """Expansion matrix of the affine argument substitution t -> a*t + b."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return ChebAffineMatrix(float(a), float(b), kernels.cheb_affine_rows(n, a, b))
 
 
 def _axis_restrict(basis, cols, center, r):
@@ -105,3 +93,28 @@ def reparametrize(f, x, allow_outside=False):
     grid = np.swapaxes(cols.reshape(m1, n1, d), 0, 1)
     cols = _axis_restrict(f.basis, grid.reshape(n1, m1 * d), v0, r)
     return BivariateSystem(f.basis, np.swapaxes(cols.reshape(n1, m1, d), 0, 1))
+
+
+def halving_matrices(basis, n):
+    """Matrices taking degree-n coefficient columns on the canonical
+    interval to their lower and upper half, stacked as (2, n+1, n+1).
+
+    Each is the restriction of the identity, so H @ cols restricts cols.
+    """
+    lo, hi = basis.domain
+    q = (hi - lo) / 4.0
+    eye = np.eye(n + 1)
+    return np.stack(
+        (_axis_restrict(basis, eye, lo + q, q), _axis_restrict(basis, eye, hi - q, q))
+    )
+
+
+def subdivide_grid(grid, halve_u, halve_v):
+    """Restrictions of a grid (m+1, n+1, d) to the four half-width squares
+    of its square, stacked in Patch.subdivide order (-,-), (-,+), (+,-),
+    (+,+), given each axis' halving_matrices.
+    """
+    m1, n1, d = grid.shape
+    halves = (halve_u @ grid.reshape(m1, n1 * d)).reshape(2, 1, m1, n1, d)
+    # batched over (u side, v side, row i): halve_v[b] @ halves[a, i]
+    return (halve_v[None, :, None] @ halves).reshape(4, m1, n1, d)

@@ -15,7 +15,10 @@ The search keeps a FIFO queue of square patches. Each patch is either
 discarded because a coefficient enclosure proves F cannot vanish on it,
 or certified because an affine-invariant Kantorovich test proves Newton
 iteration from its center converges to a unique nearby zero, or split
-into four half-size patches. Certified zeros carry a radius rho_star
+into four half-size patches. Each queued patch carries the system's grid
+restricted to it: the system is restricted once, to the whole square,
+and a split derives the four children's grids from their parent's with
+fixed per-axis halving matrices. Certified zeros carry a radius rho_star
 within which they are the only zero, which both deduplicates rediscovery
 and lets later patches be skipped wholesale.
 """
@@ -29,9 +32,17 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .basis import Basis, conversion_matrix, convert, derivative_bi, eval_bi, eval_bi_grid
+from .basis import (
+    Basis,
+    BivariateSystem,
+    conversion_matrix,
+    convert,
+    derivative_bi,
+    eval_bi,
+    eval_bi_grid,
+)
 from .bounding import bounding_interval_bi, bounding_polytope, contains_origin, gamma, theta
-from .reparam import Patch, reparametrize
+from .reparam import Patch, halving_matrices, reparametrize, subdivide_grid
 
 log = logging.getLogger("ktsolve.solver")
 
@@ -101,6 +112,15 @@ class _Frame:
         u0, v0 = x.center
         return Patch(
             (self.lo + self.s * u0, self.lo + self.s * v0), self.s * x.half_width
+        )
+
+    @cached_property
+    def halving(self):
+        """Per-axis halving matrices of the system's grid (see subdivide_grid)."""
+        basis = self.f.basis
+        return (
+            halving_matrices(basis, self.f.degree_u),
+            halving_matrices(basis, self.f.degree_v),
         )
 
     @cached_property
@@ -197,11 +217,6 @@ class _Frame:
         jv = eval_bi(self.fv, t[0], t[1])
         return self.s * np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
 
-    def raw_jacobian_at_canon(self, t):
-        ju = eval_bi(self.fu, t[0], t[1])
-        jv = eval_bi(self.fv, t[0], t[1])
-        return np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
-
 
 def _inv2(j):
     """Inverse of a 2x2 matrix, or None when numerically singular."""
@@ -214,10 +229,16 @@ def _inv2(j):
     return np.array([[d, -b], [-c, a]]) / det
 
 
-def exclusion_test(f, x, *, _frame=None):
-    """True when a coefficient enclosure proves F has no zero on patch x."""
-    fr = _frame or _Frame(f)
-    restricted = reparametrize(f, fr.canon_patch(x))
+def exclusion_test(f, x, *, _frame=None, _grid=None):
+    """True when a coefficient enclosure proves F has no zero on patch x.
+
+    _grid, when given, is f's grid already restricted to x.
+    """
+    if _grid is None:
+        fr = _frame or _Frame(f)
+        restricted = reparametrize(f, fr.canon_patch(x))
+    else:
+        restricted = BivariateSystem(f.basis, _grid)
     return not contains_origin(bounding_polytope(restricted))
 
 
@@ -339,7 +360,8 @@ def kts_solve(f, config=None):
     """Find all zeros of F in the unit square by certified subdivision."""
     cfg = config or SolverConfig()
     fr = _Frame(f)
-    queue = deque([Patch((0.5, 0.5), 0.5)])
+    root = Patch((0.5, 0.5), 0.5)
+    queue = deque([(root, reparametrize(f, fr.canon_patch(root)).coeffs)])
     balls = []  # (center array, radius) in discovery order
     zeros = []
     unresolved = []
@@ -351,7 +373,7 @@ def kts_solve(f, config=None):
     trace = log.isEnabledFor(logging.DEBUG)
 
     while queue:
-        patch = queue.popleft()
+        patch, grid = queue.popleft()
         patches_examined += 1
         smallest_width = min(smallest_width, 2.0 * patch.half_width)
         center = np.asarray(patch.center)
@@ -370,7 +392,7 @@ def kts_solve(f, config=None):
                 log.debug("patch %s subsumed by certified ball", patch)
             continue
 
-        if exclusion_test(f, patch, _frame=fr):
+        if exclusion_test(f, patch, _frame=fr, _grid=grid):
             exclusion_passes += 1
             if trace:
                 log.debug("patch %s excluded", patch)
@@ -400,7 +422,7 @@ def kts_solve(f, config=None):
         if patch.half_width / 2.0 < cfg.min_half_width:
             unresolved.append(patch)
         else:
-            queue.extend(patch.subdivide())
+            queue.extend(zip(patch.subdivide(), subdivide_grid(grid, *fr.halving)))
 
     if unresolved:
         log.warning(
@@ -442,9 +464,8 @@ def condition_estimate(f, zeros, config=None, *, _frame=None):
 
     worst = 0.0
     for record in zeros:
-        x = record.location
-        t = fr.canon(x)
-        inv_raw = _inv2(fr.raw_jacobian_at_canon(t))
+        # the canonical-frame Jacobian; s is 1 or 2, so the division is exact
+        inv_raw = _inv2(fr.jacobian(record.location) / fr.s)
         if inv_raw is None:
             return math.inf
         # rows of inv_raw @ g'(y) over the whole grid (scale factors cancel)

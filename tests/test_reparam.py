@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from ktsolve import (
-    Basis,
-    BivariateSystem,
-    ChebAffineMatrix,
-    Patch,
-    cheb_affine,
-    eval_bi,
-    reparametrize,
-)
+from ktsolve import Basis, BivariateSystem, Patch, eval_bi, reparametrize
+from ktsolve.kernels import cheb_affine_rows
+from ktsolve.reparam import halving_matrices, subdivide_grid
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 
@@ -66,22 +60,21 @@ class TestPatch:
 class TestChebAffine:
     def test_identity(self):
         """a=1, b=0 yields the identity substitution."""
-        m = cheb_affine(1.0, 0.0, 3)
-        assert isinstance(m, ChebAffineMatrix)
-        assert np.allclose(m.rows, np.eye(4), atol=1e-15)
+        rows = cheb_affine_rows(3, 1.0, 0.0)
+        assert np.allclose(rows, np.eye(4), atol=1e-15)
 
     def test_row_one_is_b_a(self):
         rng = np.random.default_rng(50)
         for _ in range(10):
             a, b = rng.uniform(-1, 1, 2)
-            m = cheb_affine(a, b, 2)
-            assert np.allclose(m.rows[1], [b, a, 0.0], atol=1e-15)
+            rows = cheb_affine_rows(2, a, b)
+            assert np.allclose(rows[1], [b, a, 0.0], atol=1e-15)
 
     def test_halving_pins(self):
         """Frozen rows for the substitution t -> t/2."""
-        m = cheb_affine(0.5, 0.0, 3)
-        assert np.allclose(m.rows[2], [-0.75, 0.0, 0.25, 0.0], atol=1e-15)
-        assert np.allclose(m.rows[3], [0.0, -1.125, 0.0, 0.125], atol=1e-15)
+        rows = cheb_affine_rows(3, 0.5, 0.0)
+        assert np.allclose(rows[2], [-0.75, 0.0, 0.25, 0.0], atol=1e-15)
+        assert np.allclose(rows[3], [0.0, -1.125, 0.0, 0.125], atol=1e-15)
 
     def test_rows_match_sampled_substitution(self):
         """Row k reproduces T_i(a t + b) pointwise."""
@@ -92,12 +85,12 @@ class TestChebAffine:
         for _ in range(20):
             a, b = rng.uniform(-0.5, 0.5, 2)
             n = int(rng.integers(1, 9))
-            m = cheb_affine(a, b, n)
+            rows = cheb_affine_rows(n, a, b)
             for i in range(n + 1):
                 unit = np.zeros(i + 1)
                 unit[i] = 1.0
                 want = npcheb.chebval(a * ts + b, unit)
-                got = npcheb.chebval(ts, m.rows[i])
+                got = npcheb.chebval(ts, rows[i])
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_contraction_row_sums(self):
@@ -106,8 +99,8 @@ class TestChebAffine:
         for _ in range(50):
             a = rng.uniform(-1, 1)
             b = rng.uniform(-(1 - abs(a)), 1 - abs(a))
-            m = cheb_affine(a, b, 8)
-            sums = np.abs(np.sum(m.rows, axis=1))
+            rows = cheb_affine_rows(8, a, b)
+            sums = np.abs(np.sum(rows, axis=1))
             assert np.all(sums <= 1.0 + 1e-12)
 
 
@@ -215,3 +208,48 @@ class TestReparametrize:
             for t in np.linspace(-1, 1, 5):
                 want = eval_bi(f, 0.4 * s + 0.2, 0.4 * t - 0.3)
                 assert abs(eval_bi(g, s, t) - want) < 1e-10
+
+
+def canon_patch(basis, x):
+    """A unit-square patch in the basis' canonical coordinates."""
+    lo, hi = basis.domain
+    (u0, v0), r = x.center, x.half_width
+    return Patch((lo + (hi - lo) * u0, lo + (hi - lo) * v0), (hi - lo) * r)
+
+
+class TestHalving:
+    def test_children_match_direct_restriction(self):
+        """Each derived child grid equals restricting f to that child."""
+        rng = np.random.default_rng(60)
+        for basis in BASES:
+            for m in range(1, 9):
+                for n in (m, 9 - m):
+                    f = BivariateSystem(basis, rng.standard_normal((m + 1, n + 1, 2)))
+                    halve_u = halving_matrices(basis, m)
+                    halve_v = halving_matrices(basis, n)
+                    x = Patch((0.5, 0.5), 0.5)
+                    grid = reparametrize(f, canon_patch(basis, x)).coeffs
+                    kids = subdivide_grid(grid, halve_u, halve_v)
+                    assert kids.shape == (4,) + f.coeffs.shape
+                    scale = f.max_coeff_norm()
+                    for kid, child in zip(kids, x.subdivide()):
+                        want = reparametrize(f, canon_patch(basis, child)).coeffs
+                        assert np.max(np.abs(kid - want)) <= 1e-14 * scale
+
+    def test_chained_halvings_stay_close_to_direct(self):
+        """40 random halvings in a row drift by at most 1e-13 of max |c|."""
+        rng = np.random.default_rng(62)
+        for basis in BASES:
+            for m in range(1, 9):
+                n = int(rng.integers(1, 9))
+                f = BivariateSystem(basis, rng.standard_normal((m + 1, n + 1, 2)))
+                halve_u = halving_matrices(basis, m)
+                halve_v = halving_matrices(basis, n)
+                x = Patch((0.5, 0.5), 0.5)
+                grid = reparametrize(f, canon_patch(basis, x)).coeffs
+                for _ in range(40):
+                    k = int(rng.integers(4))
+                    grid = subdivide_grid(grid, halve_u, halve_v)[k]
+                    x = x.subdivide()[k]
+                want = reparametrize(f, canon_patch(basis, x)).coeffs
+                assert np.max(np.abs(grid - want)) <= 1e-13 * f.max_coeff_norm()

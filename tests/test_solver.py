@@ -489,6 +489,23 @@ class TestKtsSolve:
             )
             assert zeros == PROTOCOL_ZEROS[seed], (seed, basis)
 
+    def test_restricts_once_per_solve(self, monkeypatch):
+        """Patches carry their grids down, so only the root is restricted."""
+        import ktsolve.solver
+
+        calls = []
+
+        def counting(f, x, allow_outside=False):
+            calls.append(x)
+            return reparametrize(f, x, allow_outside)
+
+        monkeypatch.setattr(ktsolve.solver, "reparametrize", counting)
+        for basis in BASES:
+            calls.clear()
+            r = kts_solve(convert(protocol_system(600), basis))
+            assert r.patches_examined > 1
+            assert len(calls) == 1, basis
+
     def test_rejects_non_finite_coefficients(self):
         """A NaN coefficient fails fast instead of subdividing to the floor."""
         coeffs = affine_center_root().coeffs.copy()
