@@ -5,6 +5,8 @@ control coefficients; power and Chebyshev grids bound it by a zonotope
 centered at the constant coefficient, since every non-constant basis
 function maps the canonical square into [-1, 1]. The subdivision solver
 only ever asks one question of these sets: does it contain the origin?
+contains_origin answers it from the points and generators alone,
+without building a hull or a vertex list.
 
 Also hosts the basis-dependent conditioning constants (xi, theta) and
 the patch-enlargement factor gamma used by the convergence test.
@@ -18,14 +20,18 @@ import numpy as np
 from . import kernels
 from .basis import Basis
 
-_DEDUP_TOL = 1e-12
+_BOX_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
 @dataclass
 class ControlHull:
-    """Convex hull of Bernstein control coefficients, vertices CCW."""
+    """Convex hull of the Bernstein control coefficients.
 
-    vertices: np.ndarray = field(repr=False)
+    points holds all (m+1)(n+1) control points, unreduced and in grid
+    order; contains_origin and support read the hull off them directly.
+    """
+
+    points: np.ndarray = field(repr=False)
     basis: Basis = Basis.BERNSTEIN
 
 
@@ -38,77 +44,40 @@ class Zonotope:
     basis: Basis = Basis.POWER
 
 
-def _convex_hull(points):
-    """Andrew monotone chain; returns CCW vertices, collinear points dropped."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    kept = [pts[0]]
-    for p in pts[1:]:
-        q = kept[-1]
-        if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > _DEDUP_TOL:
-            kept.append(p)
-    pts = np.array(kept)
-    if pts.shape[0] <= 2:
-        return pts
-
-    def build(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                ax, ay = chain[-2]
-                bx, by = chain[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0.0:
-                    chain.pop()
-                else:
-                    break
-            chain.append((p[0], p[1]))
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points coincide after dedup
-        hull = lower
-    return np.array(hull)
-
-
 def bounding_polytope(f):
     """Enclosure of f's range over the canonical square of its basis."""
     if f.components != 2:
         raise ValueError("bounding_polytope expects a 2-component system")
     pts = f.coeffs.reshape(-1, 2)
     if f.basis is Basis.BERNSTEIN:
-        return ControlHull(_convex_hull(pts), f.basis)
+        return ControlHull(pts.copy(), f.basis)
     center = pts[0].copy()
     gens = pts[1:]
     keep = np.abs(gens).max(axis=1) > 0.0
     return Zonotope(center, gens[keep], f.basis)
 
 
-def _segment_distance(a, b, tol):
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*a)) <= tol
-    s = min(1.0, max(0.0, float(-(a @ ab)) / denom))
-    closest = a + s * ab
-    return float(np.hypot(*closest)) <= tol
-
-
 def contains_origin(p, tol=0.0):
-    """Whether the origin lies in the polytope (boundary counts as inside)."""
+    """Whether the origin lies within inf-norm distance tol >= 0 of the
+    enclosure; the boundary counts as inside.
+
+    The slack is a Minkowski sum with the box [-tol, tol]^2: each control
+    point gains the box's four corner offsets, a zonotope gains the
+    generators (tol, 0) and (0, tol). The origin is outside conv(P) iff
+    for some p_k every cross(p_k, p_j) has one sign and every p_j on the
+    line through 0 and p_k lies on p_k's own ray (p_k . p_j > 0): that p_k
+    bounds a cone holding P but not 0. Both signs are tried, one per
+    extreme ray, so mirroring the points leaves the answer exactly as is.
+    """
     if isinstance(p, Zonotope):
-        return kernels.zonotope_origin_inside(p.center[0], p.center[1], p.generators, tol)
-    v = p.vertices
-    if v.shape[0] == 1:
-        return float(np.hypot(*v[0])) <= tol
-    if v.shape[0] == 2:
-        return _segment_distance(v[0], v[1], tol)
-    for i in range(v.shape[0]):
-        ax, ay = v[i]
-        bx, by = v[(i + 1) % v.shape[0]]
-        if (bx - ax) * (-ay) - (by - ay) * (-ax) < -tol:
-            return False
-    return True
+        gens = np.concatenate((p.generators, tol * np.eye(2))) if tol else p.generators
+        return kernels.zonotope_origin_inside(p.center[0], p.center[1], gens)
+    pts = (p.points[:, None] + tol * _BOX_CORNERS).reshape(-1, 2) if tol else p.points
+    x, y = pts[:, 0], pts[:, 1]
+    cross = x[:, None] * y - y[:, None] * x  # cross[k, j] = cross(p_k, p_j)
+    one_side = (cross >= 0.0).all(axis=1) | (cross <= 0.0).all(axis=1)
+    on_own_ray = ((cross != 0.0) | (pts @ pts.T > 0.0)).all(axis=1)
+    return not np.any(one_side & on_own_ray)
 
 
 def support(p, direction):
@@ -121,7 +90,7 @@ def support(p, direction):
         if p.generators.shape[0]:
             val += float(np.sum(np.abs(p.generators @ d)))
         return val
-    return float(np.max(p.vertices @ d))
+    return float(np.max(p.points @ d))
 
 
 def bounding_interval(f):

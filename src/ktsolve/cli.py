@@ -63,7 +63,13 @@ def parse_system(path):
         raise SystemFileError(f"{path}: coeffs is not a numeric grid: {exc}") from exc
     if not np.all(np.isfinite(coeffs)):
         raise SystemFileError(f"{path}: coeffs holds a non-finite value")
-    expected = (int(data["m"]) + 1, int(data["n"]) + 1, 2)
+    for key in ("m", "n"):
+        deg = data[key]
+        if isinstance(deg, bool) or not isinstance(deg, int) or deg < 0:
+            raise SystemFileError(
+                f"{path}: degree {key} must be a non-negative integer, got {deg!r}"
+            )
+    expected = (data["m"] + 1, data["n"] + 1, 2)
     if coeffs.shape != expected:
         raise SystemFileError(
             f"{path}: coeffs shape {coeffs.shape} does not match "

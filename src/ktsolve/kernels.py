@@ -117,7 +117,7 @@ def bernstein_patch_matrix(n, p, q, e, f):
     return out
 
 
-def zonotope_origin_inside(cx, cy, gens, tol):
+def zonotope_origin_inside(cx, cy, gens):
     """Exact 2-D zonotope membership test for the origin.
 
     A point is inside iff for every edge-normal direction (perpendicular
@@ -130,4 +130,4 @@ def zonotope_origin_inside(cx, cy, gens, tol):
     dy = np.concatenate((gens[normal, 0], [0.0, 1.0]))
     # reach[d] sums |<direction d, generator i>| over generators in order
     reach = np.abs(dx * gens[:, :1] + dy * gens[:, 1:]).sum(axis=0)
-    return not np.any(np.abs(dx * cx + dy * cy) > reach + tol)
+    return not np.any(np.abs(dx * cx + dy * cy) > reach)

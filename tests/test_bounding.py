@@ -28,7 +28,7 @@ BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 def shifted(p, y):
     """The same polytope translated by -y, for membership tests."""
     if isinstance(p, ControlHull):
-        return ControlHull(p.vertices - y, p.basis)
+        return ControlHull(p.points - y, p.basis)
     return Zonotope(p.center - y, p.generators, p.basis)
 
 
@@ -115,6 +115,62 @@ class TestContainsOrigin:
             decisive += 1
             assert contains_origin(z) == (dist > 0)
         assert decisive > 150
+
+    def test_matches_brute_force_hull(self):
+        """Cross-product criterion agrees with scipy's hull geometry on
+        clouds with duplicates, collinear runs and points on rays through
+        the origin."""
+        rng = np.random.default_rng(42)
+        decisive = 0
+        for trial in range(600):
+            k = int(rng.integers(1, 26))
+            kind = trial % 4
+            if kind == 0:  # general position
+                pts = rng.standard_normal((k, 2)) + rng.standard_normal(2) * 1.5
+            elif kind == 1:  # duplicates of a few distinct points
+                base = rng.standard_normal((int(rng.integers(1, 5)), 2)) + rng.standard_normal(2)
+                pts = base[rng.integers(0, len(base), k)]
+            elif kind == 2:  # collinear run on a line that may miss the origin
+                d = rng.standard_normal(2)
+                pts = rng.standard_normal(2) * rng.uniform(0, 1) + rng.uniform(-2, 2, (k, 1)) * d
+            else:  # on rays through the origin, some paired with their opposite
+                rays = rng.standard_normal((int(rng.integers(1, 3)), 2))
+                rays = np.concatenate((rays, -rays[rng.random(len(rays)) < 0.5]))
+                pts = rng.uniform(0.1, 2.0, (k, 1)) * rays[rng.integers(0, len(rays), k)]
+            inside = contains_origin(ControlHull(pts, Basis.BERNSTEIN))
+            assert contains_origin(ControlHull(pts * [1.0, -1.0], Basis.BERNSTEIN)) == inside
+            dist = polygon_signed_distance(pts)
+            if abs(dist) < 1e-6:
+                continue
+            decisive += 1
+            assert inside == (dist > 0), pts
+        assert decisive > 500
+
+    @pytest.mark.parametrize(
+        "pts, inside",
+        [
+            ([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], True),  # origin is a control point
+            ([[-0.75, 0.25], [0.75, -0.25]], True),  # origin is the dyadic midpoint
+            ([[1.0, 2.0], [0.5, 1.0], [3.0, 6.0], [1.0, 2.0]], False),  # one ray
+            ([[1.0, 2.0], [-0.5, -1.0], [3.0, 6.0]], True),  # two opposite rays
+            ([[0.25, -0.5]], False),  # single non-zero point
+        ],
+    )
+    def test_hull_degenerate_cases_exact(self, pts, inside):
+        """Degenerate clouds decided exactly, without slack."""
+        assert contains_origin(ControlHull(np.array(pts), Basis.BERNSTEIN), tol=0.0) is inside
+
+    def test_tol_is_inf_norm_slack(self):
+        """tol admits the origin within inf-norm distance tol: a corner at
+        offset (1.5e-10, 1.5e-10) lies 2.1e-10 away in the 2-norm."""
+        off = 1.5e-10
+        sq = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]) + off
+        hull = ControlHull(sq, Basis.BERNSTEIN)
+        zono = Zonotope(np.array([1.0, 1.0]) + off, np.eye(2), Basis.POWER)
+        for p in (hull, zono):
+            assert not contains_origin(p)
+            assert not contains_origin(p, tol=1e-10)
+            assert contains_origin(p, tol=2e-10)
 
 
 class TestBoundingPolytope:

@@ -90,6 +90,25 @@ class TestParseSystem:
             parse_system(path)
 
 
+    @pytest.mark.parametrize("m", ["two", "2", 1.5, 2.0, -1, True, None, [2]])
+    def test_rejects_bad_degree(self, tmp_path, m):
+        """Degrees must be non-negative JSON integers; nothing is truncated."""
+        path = tmp_path / "deg.json"
+        coeffs = [[[1.0, 1.0]]] * 2  # the shape int(1.5) + 1 used to accept
+        path.write_text(json.dumps({"basis": "power", "m": m, "n": 0, "coeffs": coeffs}))
+        with pytest.raises(SystemFileError, match="degree m must be a non-negative integer"):
+            parse_system(path)
+
+    def test_bad_degree_exits_with_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deg.json"
+        path.write_text(
+            json.dumps({"basis": "power", "m": 0, "n": "two", "coeffs": [[[1.0, 1.0]]]})
+        )
+        code = main(["solve", "--input", str(path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_finds_center_zero(self, tmp_path, capsys):
         path = affine_center_file(tmp_path)

@@ -104,12 +104,12 @@ class TestKernelValues:
 
     def test_zonotope_membership_cases(self):
         unit = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert kernels.zonotope_origin_inside(0.5, -0.5, unit, 0.0)
-        assert not kernels.zonotope_origin_inside(1.5, 0.0, unit, 0.0)
-        assert kernels.zonotope_origin_inside(1.0, 1.0, unit, 0.0)  # corner
+        assert kernels.zonotope_origin_inside(0.5, -0.5, unit)
+        assert not kernels.zonotope_origin_inside(1.5, 0.0, unit)
+        assert kernels.zonotope_origin_inside(1.0, 1.0, unit)  # corner
         segment = np.array([[1.0, 1.0]])
-        assert kernels.zonotope_origin_inside(0.5, 0.5, segment, 1e-12)
-        assert not kernels.zonotope_origin_inside(0.5, 0.4, segment, 1e-12)
+        assert kernels.zonotope_origin_inside(0.5, 0.5, segment)
+        assert not kernels.zonotope_origin_inside(0.5, 0.4, segment)
         empty = np.zeros((0, 2))
-        assert kernels.zonotope_origin_inside(0.0, 0.0, empty, 0.0)
-        assert not kernels.zonotope_origin_inside(1e-9, 0.0, empty, 0.0)
+        assert kernels.zonotope_origin_inside(0.0, 0.0, empty)
+        assert not kernels.zonotope_origin_inside(1e-9, 0.0, empty)
