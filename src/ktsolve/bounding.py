@@ -106,12 +106,25 @@ def bounding_interval(f):
 
 
 def bounding_interval_bi(basis, grid):
-    """Same enclosure for a scalar bivariate tensor grid."""
+    """Same enclosure for scalar bivariate tensor grids.
+
+    The grid's last two axes are the tensor grid; any leading axes batch
+    grids, and lo, hi come back as arrays of the batch shape (two floats
+    for a single 2-D grid). |grid| is summed in order over the flattened
+    grid, so zero padding leaves max(|lo|, |hi|) bit-identical in every
+    basis.
+    """
     basis = Basis(basis)
+    flat = grid.reshape(grid.shape[:-2] + (-1,))
     if basis is Basis.BERNSTEIN:
-        return float(grid.min()), float(grid.max())
-    spread = float(np.sum(np.abs(grid))) - abs(float(grid[0, 0]))
-    return float(grid[0, 0]) - spread, float(grid[0, 0]) + spread
+        lo, hi = flat.min(axis=-1), flat.max(axis=-1)
+    else:
+        mags = np.abs(flat)
+        spread = np.add.accumulate(mags, axis=-1)[..., -1] - mags[..., 0]
+        lo, hi = flat[..., 0] - spread, flat[..., 0] + spread
+    if grid.ndim == 2:
+        return float(lo), float(hi)
+    return lo, hi
 
 
 def xi_bernstein(n):

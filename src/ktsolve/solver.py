@@ -27,11 +27,10 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from . import kernels
 from .basis import (
     Basis,
     BivariateSystem,
@@ -142,67 +141,59 @@ class _Frame:
 
     @cached_property
     def taylor_base(self):
-        """The second partials in power form, ready for Taylor shifts.
+        """The second partials in power form, stacked for one-pass bounds.
 
         Each partial is expressed in the reference variable
         t = -1 + 2(x - lo)/s on [-1, 1]^2 and zero-padded into one grid of
         shape (M, N, 3, 2), so that one shift matrix per axis serves all
-        three. Each also carries the exponents i + j of the radius
-        scaling, the per-degree matrices that take power form on [-1, 1]
-        back to the system's basis, and its weight in the row sums
-        (g_uv counts twice).
+        three. Alongside it: expo (3, 1, M, N), the exponents i + j of the
+        radius scaling, and back_u (3, 1, M, M) and back_vt (3, 1, N, N),
+        each partial's own per-degree matrices from power form on [-1, 1]
+        back to the system's basis, zero-padded in their top-left block.
+        No partial is degree-elevated, so each keeps the enclosure its own
+        restriction would get.
         """
         basis = self.f.basis
         powers = [convert(g2, Basis.POWER).coeffs for g2 in self.second_partials]
-        grid = np.zeros(
-            (max(p.shape[0] for p in powers), max(p.shape[1] for p in powers), 3, 2)
-        )
-        parts = []
-        for k, (p, mult) in enumerate(zip(powers, (1.0, 2.0, 1.0))):
+        m_max = max(p.shape[0] for p in powers)
+        n_max = max(p.shape[1] for p in powers)
+        grid = np.zeros((m_max, n_max, 3, 2))
+        expo = np.zeros((3, 1, m_max, n_max))
+        back_u = np.zeros((3, 1, m_max, m_max))
+        back_vt = np.zeros((3, 1, n_max, n_max))
+        for k, p in enumerate(powers):
             m1, n1, _ = p.shape
             grid[:m1, :n1, k] = p
-            parts.append(
-                (
-                    np.add.outer(np.arange(m1), np.arange(n1)),
-                    conversion_matrix(Basis.POWER, basis, m1 - 1).matrix,
-                    conversion_matrix(Basis.POWER, basis, n1 - 1).matrix.T,
-                    mult,
-                )
-            )
-        return grid, parts
+            expo[k, 0, :m1, :n1] = np.add.outer(np.arange(m1), np.arange(n1))
+            back_u[k, 0, :m1, :m1] = conversion_matrix(Basis.POWER, basis, m1 - 1).matrix
+            back_vt[k, 0, :n1, :n1] = conversion_matrix(Basis.POWER, basis, n1 - 1).matrix.T
+        return grid, expo, back_u, back_vt
 
     def lipschitz_at(self, jac_inv, center):
         """Lipschitz bound of y -> jac_inv @ g'(y) over square balls about
         a canonical point, as a function of the ball's half-width r.
 
         The partials are mixed with jac_inv and Taylor-shifted to the
-        centre once, here. Each radius then scales coefficient (i, j) by
-        (2r/s)^(i+j), takes each partial back to the system's basis with
-        two small products, and bounds it with bounding_interval_bi, the
-        same enclosure a restriction to the ball would get.
+        centre once, here, into a (3 partials, 2 rows, M, N) stack. Each
+        radius then scales coefficient (i, j) by (2r/s)^(i+j), takes the
+        whole stack back to the system's basis with two batched products,
+        and bounds all six grids with one bounding_interval_bi call, the
+        same enclosure a restriction to the ball would get. Row i's bound
+        is |g_uu| + 2|g_uv| + |g_vv| of its enclosure magnitudes.
         """
-        grid, parts = self.taylor_base
+        grid, expo, back_u, back_vt = self.taylor_base
         t0 = -1.0 + 2.0 * (np.asarray(center, dtype=np.float64) - self.lo) / self.s
-        # column p of each shift matrix holds the power coefficients of (t0 + tau)^p
-        shift_u = kernels.power_affine_cols(np.eye(grid.shape[0]), 1.0, t0[0])
-        shift_v = kernels.power_affine_cols(np.eye(grid.shape[1]), 1.0, t0[1])
         mixed = np.moveaxis(grid @ np.asarray(jac_inv).T, (2, 3), (0, 1))
+        shift_u = taylor_shift(grid.shape[0], t0[0])
+        shift_v = taylor_shift(grid.shape[1], t0[1])
         shifted = shift_u @ mixed @ shift_v.T  # (partial, row of jac_inv, i, j)
-        pieces = []
-        for k, (expo, back_u, back_vt, mult) in enumerate(parts):
-            m1, n1 = expo.shape
-            g = np.ascontiguousarray(shifted[k, :, :m1, :n1])
-            pieces.append((g, expo, back_u, back_vt, mult))
+        basis = self.f.basis
 
         def bound(r):
-            h = 2.0 * r / self.s
-            row_sums = [0.0, 0.0]
-            for g, expo, back_u, back_vt, mult in pieces:
-                c = back_u @ (g * h**expo) @ back_vt
-                for i in (0, 1):
-                    lo, hi = bounding_interval_bi(self.f.basis, c[i])
-                    row_sums[i] += mult * max(abs(lo), abs(hi))
-            return max(row_sums)
+            c = back_u @ (shifted * (2.0 * r / self.s) ** expo) @ back_vt
+            lo, hi = bounding_interval_bi(basis, c)
+            mag = np.maximum(np.abs(lo), np.abs(hi))
+            return float(np.max(mag[0] + 2.0 * mag[1] + mag[2]))
 
         return bound
 
@@ -216,6 +207,21 @@ class _Frame:
         ju = eval_bi(self.fu, t[0], t[1])
         jv = eval_bi(self.fv, t[0], t[1])
         return self.s * np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
+
+
+@cache
+def _shift_tables(n1):
+    """binom[k, p] = C(p, k) and gap[k, p] = max(p - k, 0), for k, p < n1."""
+    binom = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
+    idx = np.arange(n1)
+    return binom, np.maximum(idx - idx[:, None], 0).astype(np.float64)
+
+
+def taylor_shift(n1, t0):
+    """Matrix S with S[k, p] = C(p, k) t0^(p - k): column p holds the power
+    coefficients of (t0 + tau)^p in tau, for p < n1."""
+    binom, gap = _shift_tables(n1)
+    return binom * t0**gap
 
 
 def _inv2(j):

@@ -21,6 +21,7 @@ from ktsolve import (
     xi_bernstein,
 )
 from ktsolve.basis import basis_matrix, chebyshev_nodes, eval_bi_grid
+from ktsolve.bounding import bounding_interval_bi
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 
@@ -310,6 +311,47 @@ class TestBoundingInterval:
         p = UnivariatePolynomial(Basis.POWER, np.ones((3, 2)))
         with pytest.raises(ValueError):
             bounding_interval(p)
+
+
+def magnitude(basis, grid):
+    lo, hi = bounding_interval_bi(basis, grid)
+    return np.maximum(np.abs(lo), np.abs(hi))
+
+
+class TestBoundingIntervalBi:
+    def test_stack_matches_per_grid_calls(self):
+        """A (3, 2, M, N) stack bounds each grid exactly as a lone call does."""
+        rng = np.random.default_rng(41)
+        for basis in BASES:
+            for _ in range(20):
+                m1, n1 = rng.integers(1, 8, 2)
+                stack = rng.standard_normal((3, 2, m1, n1))
+                lo, hi = bounding_interval_bi(basis, stack)
+                assert lo.shape == hi.shape == (3, 2)
+                for k in range(3):
+                    for i in range(2):
+                        assert (lo[k, i], hi[k, i]) == bounding_interval_bi(basis, stack[k, i])
+
+    def test_single_grid_returns_floats(self):
+        grid = np.random.default_rng(42).standard_normal((3, 4))
+        for basis in BASES:
+            lo, hi = bounding_interval_bi(basis, grid)
+            assert type(lo) is float and type(hi) is float
+            assert lo <= hi
+
+    def test_zero_padding_keeps_magnitude(self):
+        """max(|lo|, |hi|) of a grid is bit-identical once the grid is
+        zero-padded, whichever basis and however many entries it has."""
+        rng = np.random.default_rng(43)
+        for basis in BASES:
+            for _ in range(200):
+                m1, n1 = rng.integers(1, 22, 2)
+                grid = rng.standard_normal((m1, n1)) * 10.0 ** rng.uniform(-3, 3, (m1, n1))
+                if rng.random() < 0.3:
+                    grid = np.abs(grid) + 0.5  # an enclosure clear of zero
+                padded = np.zeros((m1 + rng.integers(0, 6), n1 + rng.integers(0, 6)))
+                padded[:m1, :n1] = grid
+                assert magnitude(basis, padded) == magnitude(basis, grid)
 
 
 class TestCoefficientBounds:

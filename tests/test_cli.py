@@ -260,7 +260,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "ktsolve.cli", "solve", "--input", str(path)],
             capture_output=True,
             text=True,
-            env={"KTS_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root()},
+            env={**os.environ, "KTS_LOG": "info", "PYTHONPATH": package_root()},
         )
         assert proc.returncode == 0, proc.stderr
         assert "zeros found: 1" in proc.stdout

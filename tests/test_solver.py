@@ -29,8 +29,10 @@ from ktsolve import (
     rho_star,
 )
 from ktsolve.basis import derivative_bi, eval_bi
+from ktsolve import kernels
 from ktsolve.bounding import bounding_interval_bi
 from ktsolve.reparam import reparametrize
+from ktsolve.solver import taylor_shift
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 FULL = Patch((0.5, 0.5), 0.5)
@@ -183,20 +185,52 @@ class TestLipschitz:
 
     def test_matches_restricted_reference(self):
         """The Taylor-grid bound equals the bound of the restricted partials,
-        for centres inside and outside the canonical square."""
+        for centres inside and outside the canonical square, including
+        degrees where the three partials' grids differ most in shape."""
         rng = np.random.default_rng(83)
+        degrees = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
+        degrees += [(1, 1), (1, 4), (4, 1), (5, 2), (6, 6)]
         for basis in BASES:
             lo, hi = basis.domain
-            for m in (2, 3, 4):
-                for n in (2, 3, 4):
-                    f = random_system(rng, basis, m, n)
-                    jac_inv = rng.standard_normal((2, 2))
-                    for r in (1e-3, 0.02, 0.3, 1.0, 4.0):
-                        center = tuple(rng.uniform(lo - 1.0, hi + 1.0, 2))
-                        ball = Patch(center, r)
-                        got = lipschitz_bound(f, jac_inv, ball)
-                        want = restricted_lipschitz_bound(f, jac_inv, ball)
-                        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for m, n in degrees:
+                f = random_system(rng, basis, m, n)
+                jac_inv = rng.standard_normal((2, 2))
+                for r in (1e-3, 0.02, 0.3, 1.0, 4.0):
+                    center = tuple(rng.uniform(lo - 1.0, hi + 1.0, 2))
+                    ball = Patch(center, r)
+                    got = lipschitz_bound(f, jac_inv, ball)
+                    want = restricted_lipschitz_bound(f, jac_inv, ball)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (basis, m, n)
+
+    def test_one_enclosure_call_per_bound(self, monkeypatch):
+        """All three partials and both Jacobian-inverse rows are bounded
+        by a single batched bounding_interval_bi call."""
+        import ktsolve.solver
+
+        calls = []
+
+        def counting(basis, grid):
+            calls.append(np.shape(grid))
+            return bounding_interval_bi(basis, grid)
+
+        monkeypatch.setattr(ktsolve.solver, "bounding_interval_bi", counting)
+        rng = np.random.default_rng(84)
+        for basis in BASES:
+            for m, n in ((1, 1), (3, 2), (4, 4)):
+                calls.clear()
+                lipschitz_bound(random_system(rng, basis, m, n), np.eye(2), Patch((0.1, 0.2), 0.3))
+                assert len(calls) == 1, (basis, m, n)
+                assert calls[0][:2] == (3, 2)
+
+    def test_closed_form_shift_matches_synthetic_division(self):
+        """C(p, k) t0^(p-k) equals the Taylor shift power_affine_cols builds."""
+        rng = np.random.default_rng(85)
+        for n in range(21):
+            for t0 in np.concatenate(([0.0, -3.0, 3.0, 1.0, -1.0], rng.uniform(-3.0, 3.0, 10))):
+                got = taylor_shift(n + 1, t0)
+                want = kernels.power_affine_cols(np.eye(n + 1), 1.0, t0)
+                scale = np.max(np.abs(want), axis=0)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale), (n, t0)
 
     def test_dominates_sampled_quotients(self):
         """Bound is above every sampled difference quotient of jac_inv g'."""
