@@ -16,7 +16,9 @@ map at all.
 
 Univariate coefficients are stored as (n+1, d) arrays and bivariate
 tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
-d = 2 for maps into the plane.
+d = 2 for maps into the plane. Any d >= 1 is held and evaluated, one
+column per component; the solver stacks a map with its two partials as
+one d = 6 grid so that a single evaluation yields F and F'.
 """
 
 import enum
@@ -49,9 +51,9 @@ def _as_coeffs(values, ndim_grid):
     c = np.asarray(values, dtype=np.float64)
     if c.ndim == ndim_grid:
         c = c[..., np.newaxis]
-    if c.ndim != ndim_grid + 1 or c.shape[-1] not in (1, 2):
+    if c.ndim != ndim_grid + 1 or c.shape[-1] < 1:
         raise ValueError(
-            f"coefficients must be ({'n+1' if ndim_grid == 1 else 'm+1, n+1'}[, d<=2]), "
+            f"coefficients must be ({'n+1' if ndim_grid == 1 else 'm+1, n+1'}[, d>=1]), "
             f"got shape {c.shape}"
         )
     if min(c.shape[:-1]) < 1:
@@ -84,7 +86,8 @@ class BivariateSystem:
     """Tensor-product coefficient grid c_ij in one basis.
 
     Denotes (u, v) -> sum_ij c_ij * phi_i(u) * phi_j(v) on the canonical
-    square of the basis; c_ij has d components (d = 2 for a system).
+    square of the basis; c_ij has d >= 1 components (d = 2 for a system,
+    which is what the solver, bounding_polytope and the CLI accept).
     """
 
     basis: Basis

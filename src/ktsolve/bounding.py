@@ -6,7 +6,11 @@ centered at the constant coefficient, since every non-constant basis
 function maps the canonical square into [-1, 1]. The subdivision solver
 only ever asks one question of these sets: does it contain the origin?
 contains_origin answers it from the points and generators alone,
-without building a hull or a vertex list.
+without building a hull or a vertex list. The solver asks it only
+about patches that a cheaper test on one component of the raw grid
+(solver._excluded_by_one_component) leaves open: for Bernstein a sign
+test, for the zonotope the axis rows of zonotope_origin_inside, which
+that test reproduces exactly, so the two paths never disagree.
 
 Also hosts the basis-dependent conditioning constants (xi, theta) and
 the patch-enlargement factor gamma used by the convergence test.

@@ -90,9 +90,17 @@ class SolveReport:
 
 
 class _Frame:
-    """Cached per-system data: unit-square map, derivatives, constants."""
+    """Cached per-system data: unit-square map, derivatives, constants.
+
+    Everything here is built once per system and read at every patch:
+    the halving matrices that derive children's grids, the grid [f, f_u,
+    f_v] that value_and_jacobian evaluates in one eval_bi call, and the
+    power-form second partials behind lipschitz_at.
+    """
 
     def __init__(self, f):
+        if f.components != 2:
+            raise ValueError(f"the solver needs a 2-component system, got {f.components}")
         if not np.all(np.isfinite(f.coeffs)):
             raise ValueError("system coefficients must be finite")
         self.f = f
@@ -101,7 +109,7 @@ class _Frame:
         self.s = hi - lo
         self.theta = theta(f.basis, f.degree_u, f.degree_v)
         self.gamma = gamma(self.theta)
-        self.residual_scale = 1.0 + f.max_coeff_norm()
+        self.residual_scale = f.max_coeff_norm()
 
     def canon(self, x):
         """Unit-square point -> canonical coordinates."""
@@ -144,30 +152,32 @@ class _Frame:
         """The second partials in power form, stacked for one-pass bounds.
 
         Each partial is expressed in the reference variable
-        t = -1 + 2(x - lo)/s on [-1, 1]^2 and zero-padded into one grid of
-        shape (M, N, 3, 2), so that one shift matrix per axis serves all
-        three. Alongside it: expo (3, 1, M, N), the exponents i + j of the
-        radius scaling, and back_u (3, 1, M, M) and back_vt (3, 1, N, N),
-        each partial's own per-degree matrices from power form on [-1, 1]
-        back to the system's basis, zero-padded in their top-left block.
-        No partial is degree-elevated, so each keeps the enclosure its own
-        restriction would get.
+        t = -1 + 2(x - lo)/s on [-1, 1]^2 and zero-padded into one stack
+        of shape (3 partials, 1, 2 components, M, N), so that one shift
+        matrix per axis serves all three and a Jacobian inverse mixes the
+        components by broadcasting over the singleton axis. Alongside it:
+        expo (3, 1, M, N), the exponents i + j of the radius scaling, and
+        back_u (3, 1, M, M) and back_vt (3, 1, N, N), each partial's own
+        per-degree matrices from power form on [-1, 1] back to the
+        system's basis, zero-padded in their top-left block. No partial is
+        degree-elevated, so each keeps the enclosure its own restriction
+        would get.
         """
         basis = self.f.basis
         powers = [convert(g2, Basis.POWER).coeffs for g2 in self.second_partials]
         m_max = max(p.shape[0] for p in powers)
         n_max = max(p.shape[1] for p in powers)
-        grid = np.zeros((m_max, n_max, 3, 2))
+        partials = np.zeros((3, 1, 2, m_max, n_max))
         expo = np.zeros((3, 1, m_max, n_max))
         back_u = np.zeros((3, 1, m_max, m_max))
         back_vt = np.zeros((3, 1, n_max, n_max))
         for k, p in enumerate(powers):
             m1, n1, _ = p.shape
-            grid[:m1, :n1, k] = p
+            partials[k, 0, :, :m1, :n1] = p.transpose(2, 0, 1)
             expo[k, 0, :m1, :n1] = np.add.outer(np.arange(m1), np.arange(n1))
             back_u[k, 0, :m1, :m1] = conversion_matrix(Basis.POWER, basis, m1 - 1).matrix
             back_vt[k, 0, :n1, :n1] = conversion_matrix(Basis.POWER, basis, n1 - 1).matrix.T
-        return grid, expo, back_u, back_vt
+        return partials, expo, back_u, back_vt
 
     def lipschitz_at(self, jac_inv, center):
         """Lipschitz bound of y -> jac_inv @ g'(y) over square balls about
@@ -181,11 +191,12 @@ class _Frame:
         same enclosure a restriction to the ball would get. Row i's bound
         is |g_uu| + 2|g_uv| + |g_vv| of its enclosure magnitudes.
         """
-        grid, expo, back_u, back_vt = self.taylor_base
+        partials, expo, back_u, back_vt = self.taylor_base
         t0 = -1.0 + 2.0 * (np.asarray(center, dtype=np.float64) - self.lo) / self.s
-        mixed = np.moveaxis(grid @ np.asarray(jac_inv).T, (2, 3), (0, 1))
-        shift_u = taylor_shift(grid.shape[0], t0[0])
-        shift_v = taylor_shift(grid.shape[1], t0[1])
+        # (3, 1, 2, M, N) * (2 rows, 2 components, 1, 1), summed over components
+        mixed = (np.asarray(jac_inv)[:, :, None, None] * partials).sum(axis=2)
+        shift_u = taylor_shift(expo.shape[2], t0[0])
+        shift_v = taylor_shift(expo.shape[3], t0[1])
         shifted = shift_u @ mixed @ shift_v.T  # (partial, row of jac_inv, i, j)
         basis = self.f.basis
 
@@ -197,16 +208,59 @@ class _Frame:
 
         return bound
 
-    def value(self, x):
+    @cached_property
+    def value_jacobian_system(self):
+        """[f, f_u, f_v] as one 6-component grid at f's degrees.
+
+        f_u and f_v lose a degree along their own axis. Power and
+        Chebyshev pad it back with a zero leading coefficient, which
+        leaves Horner and Clenshaw bit-identical; a zero Bernstein
+        coefficient would change the polynomial, so Bernstein
+        degree-elevates instead.
+        """
+        m1, n1, _ = self.f.coeffs.shape
+        fu, fv = self.fu.coeffs, self.fv.coeffs
+        if self.f.basis is Basis.BERNSTEIN:
+            fu = _elevate(fu, m1)
+            fv = _elevate(fv.swapaxes(0, 1), n1).swapaxes(0, 1)
+        grid = np.zeros((m1, n1, 6))
+        grid[..., :2] = self.f.coeffs
+        grid[: fu.shape[0], :, 2:4] = fu
+        grid[:, : fv.shape[1], 4:] = fv
+        return BivariateSystem(self.f.basis, grid)
+
+    def value_and_jacobian(self, x):
+        """F(x) and F'(x) in the unit-square frame (chain-rule factor s
+        applied to F'), from one eval_bi call."""
         t = self.canon(x)
-        return eval_bi(self.f, t[0], t[1])
+        out = eval_bi(self.value_jacobian_system, t[0], t[1])
+        return out[:2], self.s * out[2:].reshape(2, 2).T
 
     def jacobian(self, x):
-        """F'(x) in the unit-square frame (chain-rule factor s applied)."""
+        """F'(x) in the unit-square frame, from the separate grids of f_u
+        and f_v; condition_estimate reads it, and it is the reference that
+        value_and_jacobian must match."""
         t = self.canon(x)
         ju = eval_bi(self.fu, t[0], t[1])
         jv = eval_bi(self.fv, t[0], t[1])
         return self.s * np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
+
+
+def _elevate(c, k1):
+    """Raise a Bernstein grid's degree along axis 0 by one, to k1 rows.
+
+    Row i of the result is (i/k) c[i-1] + (1 - i/k) c[i] with k = k1 - 1,
+    the same polynomial at degree k. A grid that already has k1 rows (the
+    one-row derivative of a constant) passes through.
+    """
+    if c.shape[0] == k1:
+        return c
+    k = k1 - 1
+    w = (np.arange(k1) / k)[:, None, None]
+    out = np.zeros((k1,) + c.shape[1:])
+    out[1:] = w[1:] * c
+    out[:-1] += (1.0 - w[:-1]) * c
+    return out
 
 
 @cache
@@ -225,27 +279,56 @@ def taylor_shift(n1, t0):
 
 
 def _inv2(j):
-    """Inverse of a 2x2 matrix, or None when numerically singular."""
+    """Inverse of a 2x2 matrix, or None when numerically singular.
+
+    Singular means |det| <= 1e-14 times the product of the row sums,
+    a threshold that scales with the matrix, or a non-finite det.
+    """
     a, b = j[0]
     c, d = j[1]
     det = a * d - b * c
-    scale = max(1.0, max(abs(a) + abs(b), abs(c) + abs(d))) ** 2
-    if abs(det) < _SINGULAR_REL * scale:
+    if not abs(det) > _SINGULAR_REL * (abs(a) + abs(b)) * (abs(c) + abs(d)):
         return None
     return np.array([[d, -b], [-c, a]]) / det
+
+
+def _excluded_by_one_component(basis, grid):
+    """Whether one component of a restricted grid alone keeps F away from 0.
+
+    Bernstein: all control values of a component > 0, or all < 0; sign
+    comparisons involve no rounding, so this proves exclusion exactly.
+    Power and Chebyshev: |c_00| > sum of |c_ij| over the other
+    coefficients of a component. That is the axis row of the zonotope
+    test in kernels.zonotope_origin_inside, with the same comparison and
+    the same in-order sum (all-zero generators add exactly 0), so it
+    decides exactly as the kernel does. False leaves the patch to the
+    full enclosure test.
+    """
+    pts = grid.reshape(-1, 2)
+    if basis is Basis.BERNSTEIN:
+        lo_x, lo_y = pts.min(axis=0).tolist()
+        hi_x, hi_y = pts.max(axis=0).tolist()
+        return lo_x > 0.0 or lo_y > 0.0 or hi_x < 0.0 or hi_y < 0.0
+    # sum over axis 0 of a C-ordered (G, 2) array adds row by row, as the kernel does
+    reach_x, reach_y = np.abs(pts[1:]).sum(axis=0).tolist()
+    c_x, c_y = pts[0].tolist()
+    return abs(c_x) > reach_x or abs(c_y) > reach_y
 
 
 def exclusion_test(f, x, *, _frame=None, _grid=None):
     """True when a coefficient enclosure proves F has no zero on patch x.
 
-    _grid, when given, is f's grid already restricted to x.
+    _grid, when given, is f's grid already restricted to x. Most excluded
+    patches are decided by one component's signs or axis sums on the raw
+    grid; only the rest build the enclosure and test it for the origin.
+    Both tests give the same answer wherever the first one decides.
     """
     if _grid is None:
         fr = _frame or _Frame(f)
-        restricted = reparametrize(f, fr.canon_patch(x))
-    else:
-        restricted = BivariateSystem(f.basis, _grid)
-    return not contains_origin(bounding_polytope(restricted))
+        _grid = reparametrize(f, fr.canon_patch(x)).coeffs
+    if _excluded_by_one_component(f.basis, _grid):
+        return True
+    return not contains_origin(bounding_polytope(BivariateSystem(f.basis, _grid)))
 
 
 def lipschitz_bound(f, jac_inv_at, ball, *, _frame=None):
@@ -276,11 +359,11 @@ def kantorovich_test(f, x, config=None, *, _frame=None):
     """
     fr = _frame or _Frame(f)
     x0 = np.asarray(x.center, dtype=np.float64)
-    jac = fr.jacobian(x0)
+    val, jac = fr.value_and_jacobian(x0)
     inv = _inv2(jac)
     if inv is None:
         return KantorovichOutcome(False, math.inf, math.inf, math.inf, False)
-    eta = float(np.max(np.abs(inv @ fr.value(x0))))
+    eta = float(np.max(np.abs(inv @ val)))
     jac_inv_raw = fr.s * inv  # inverse of the canonical-frame Jacobian
     omega = _omega_unit(fr, jac_inv_raw, x0, 2.0 * fr.gamma * x.half_width)
     h = eta * omega
@@ -300,21 +383,22 @@ def newton(f, x0, config=None, *, _frame=None):
     """Newton iteration on F from x0 (unit-square frame).
 
     Returns (location, iterations) on convergence, None on divergence
-    (iteration cap, non-finite iterate, or singular Jacobian). The
-    residual is checked before the first step, so starting at a zero
-    costs zero iterations.
+    (iteration cap, non-finite iterate, or singular Jacobian). It has
+    converged once max|F| <= newton_tol * max|c_ij|, a test that scales
+    with the system. The residual is checked before the first step, so
+    starting at a zero costs zero iterations.
     """
     cfg = config or SolverConfig()
     fr = _frame or _Frame(f)
     tol = cfg.newton_tol * fr.residual_scale
     x = np.asarray(x0, dtype=np.float64).copy()
     for it in range(cfg.newton_max_iters + 1):
-        val = fr.value(x)
+        val, jac = fr.value_and_jacobian(x)
         if float(np.max(np.abs(val))) <= tol:
             return x, it
         if it == cfg.newton_max_iters:
             return None
-        inv = _inv2(fr.jacobian(x))
+        inv = _inv2(jac)
         if inv is None:
             return None
         x = x - inv @ val
@@ -336,7 +420,7 @@ def rho_star(f, zero, config=None, *, _frame=None):
     cfg = config or SolverConfig()
     fr = _frame or _Frame(f)
     x = np.asarray(zero, dtype=np.float64)
-    inv = _inv2(fr.jacobian(x))
+    inv = _inv2(fr.value_and_jacobian(x)[1])
     if inv is None:
         raise ValueError("Jacobian is singular at the zero")
     bound = fr.lipschitz_at(fr.s * inv, fr.canon(x))
@@ -368,7 +452,7 @@ def kts_solve(f, config=None):
     fr = _Frame(f)
     root = Patch((0.5, 0.5), 0.5)
     queue = deque([(root, reparametrize(f, fr.canon_patch(root)).coeffs)])
-    balls = []  # (center array, radius) in discovery order
+    balls = []  # (center u, center v, radius) as floats, in discovery order
     zeros = []
     unresolved = []
     patches_examined = 0
@@ -382,17 +466,12 @@ def kts_solve(f, config=None):
         patch, grid = queue.popleft()
         patches_examined += 1
         smallest_width = min(smallest_width, 2.0 * patch.half_width)
-        center = np.asarray(patch.center)
+        u0, v0 = patch.center
 
-        covered = False
-        for ball_center, ball_radius in balls:
-            if (
-                float(np.max(np.abs(center - ball_center))) + patch.half_width
-                <= ball_radius
-            ):
-                covered = True
-                break
-        if covered:
+        if any(
+            max(abs(u0 - bu), abs(v0 - bv)) + patch.half_width <= r
+            for bu, bv, r in balls
+        ):
             skipped_subsumed += 1
             if trace:
                 log.debug("patch %s subsumed by certified ball", patch)
@@ -410,13 +489,14 @@ def kts_solve(f, config=None):
             result = newton(f, patch.center, cfg, _frame=fr)
             if result is not None:
                 location, iterations = result
+                lu, lv = float(location[0]), float(location[1])
                 known = any(
-                    float(np.max(np.abs(location - c))) <= max(r, 1e-9)
-                    for c, r in balls
+                    max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9)
+                    for bu, bv, r in balls
                 )
                 if not known:
                     radius, omega = rho_star(f, location, cfg, _frame=fr)
-                    balls.append((location, radius))
+                    balls.append((lu, lv, radius))
                     zeros.append(ZeroRecord(location, radius, omega, iterations))
                     log.info(
                         "zero at (%.12g, %.12g), uniqueness radius %.3g",

@@ -75,6 +75,18 @@ class TestEvaluation:
             expected = np.einsum("i,ijd,j->d", bu, c, bv)
             assert np.max(np.abs(eval_bi(f, u, v) - expected)) < 1e-12
 
+    def test_any_component_count(self):
+        """A grid holds any d >= 1 components, each evaluated on its own."""
+        rng = np.random.default_rng(16)
+        for basis in BASES:
+            c = rng.standard_normal((4, 3, 5))
+            u, v = rng.uniform(*basis.domain, size=2)
+            got = eval_bi(BivariateSystem(basis, c), u, v)
+            want = [eval_bi(BivariateSystem(basis, c[..., k]), u, v) for k in range(5)]
+            assert got.shape == (5,) and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            BivariateSystem(Basis.POWER, np.zeros((2, 2, 0)))
+
     def test_grid_evaluation_matches_pointwise(self):
         """Vectorized grid evaluation equals per-point evaluation."""
         rng = np.random.default_rng(14)

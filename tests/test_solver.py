@@ -30,9 +30,9 @@ from ktsolve import (
 )
 from ktsolve.basis import derivative_bi, eval_bi
 from ktsolve import kernels
-from ktsolve.bounding import bounding_interval_bi
+from ktsolve.bounding import bounding_interval_bi, bounding_polytope, contains_origin
 from ktsolve.reparam import reparametrize
-from ktsolve.solver import taylor_shift
+from ktsolve.solver import _excluded_by_one_component, _Frame, taylor_shift
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 FULL = Patch((0.5, 0.5), 0.5)
@@ -120,6 +120,43 @@ def random_patch_in_square(rng):
     return Patch((rng.uniform(r, 1 - r), rng.uniform(r, 1 - r)), r)
 
 
+def report_counters(report):
+    return (
+        report.patches_examined,
+        report.exclusion_passes,
+        report.kantorovich_passes,
+        report.skipped_subsumed,
+        len(report.unresolved),
+    )
+
+
+def enclosure_excludes(basis, grid):
+    """The full test: build the enclosure and ask it for the origin."""
+    return not contains_origin(bounding_polytope(BivariateSystem(basis, grid)))
+
+
+def degenerate_grids():
+    """Grids on the edges of the one-component test: points and centres
+    on an axis, the origin as a coefficient, all-zero generators, |c_00|
+    exactly equal to the sum of the other |c_ij|, and the all-zero grid;
+    each also mirrored and with its components swapped."""
+    base = [
+        np.zeros((1, 1, 2)),
+        np.zeros((2, 3, 2)),
+        np.array([[[0.0, 1.0]]]),
+        np.array([[[0.0, 0.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]]),
+        np.array([[[0.0, 1.0], [0.0, -1.0]], [[1.0, 0.5], [2.0, -0.5]]]),
+        np.array([[[0.0, 1.0], [1.0, 2.0]], [[2.0, 0.5], [3.0, 1.5]]]),
+        np.array([[[3.0, 0.5], [2.0, 0.25]], [[1.0, 0.25], [0.0, 0.0]]]),
+        np.array([[[3.0, 0.5], [2.0, 0.25]], [[1.0, 0.125], [0.0, 0.0]]]),
+        np.array([[[1.0, -2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        np.array([[[0.0, 5.0], [0.0, 1.0]], [[0.0, 2.0], [0.0, 2.0]]]),
+    ]
+    for g in base:
+        for h in (g, -g, g[..., ::-1], -g[..., ::-1]):
+            yield np.ascontiguousarray(h)
+
+
 class TestExclusion:
     def test_constant_far_from_origin(self):
         """A constant nonzero map is excluded on any patch in every basis."""
@@ -140,6 +177,29 @@ class TestExclusion:
         grid[1, 0] = (1.0, 0.0)
         grid[0, 1] = (0.0, 1.0)
         assert exclusion_test(unit_power_system(grid), FULL)
+
+    def test_one_component_test_agrees_with_enclosure(self):
+        """exclusion_test decides from one component's signs or axis sums
+        where it can, and gives the enclosure's answer on every grid."""
+        rng = np.random.default_rng(86)
+        for basis in BASES:
+            f = BivariateSystem(basis, np.zeros((1, 1, 2)))  # only its basis is read
+            early = late = 0
+            for k in range(2000):
+                m, n = rng.integers(0, 5, 2)
+                g = rng.standard_normal((m + 1, n + 1, 2)) + rng.uniform(-4.0, 4.0, 2)
+                if k % 2:  # small integers: exact ties and zero coefficients
+                    g = np.round(g)
+                want = enclosure_excludes(basis, g)
+                assert exclusion_test(f, FULL, _grid=g) == want, (basis, g.tolist())
+                if _excluded_by_one_component(basis, g):
+                    early += 1
+                elif want:
+                    late += 1
+            assert early > 100 and late > 50, (basis, early, late)
+            for g in degenerate_grids():
+                want = enclosure_excludes(basis, g)
+                assert exclusion_test(f, FULL, _grid=g) == want, (basis, g.tolist())
 
     def test_soundness_against_grid(self):
         """An excluded patch never contains a small value of F."""
@@ -355,6 +415,42 @@ class TestNewton:
         assert hits > 5
 
 
+class TestValueAndJacobian:
+    def test_matches_separate_evaluations(self):
+        """One evaluation of [f, f_u, f_v] gives F and F' as the separate
+        grids do: bit for bit in power and Chebyshev form, where padding
+        adds zero leading coefficients, and to rounding in Bernstein form,
+        where the partials are degree-elevated. Points leave the unit
+        square, as Newton iterates do."""
+        rng = np.random.default_rng(87)
+        corners = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-0.25, 1.25]])
+        for basis in BASES:
+            for m in range(7):
+                for n in range(7):
+                    f = random_system(rng, basis, m, n)
+                    fr = _Frame(f)
+                    scale = max(np.max(np.abs(fr.fu.coeffs)), np.max(np.abs(fr.fv.coeffs)))
+                    for x in np.concatenate((corners, rng.uniform(-0.25, 1.25, (8, 2)))):
+                        val, jac = fr.value_and_jacobian(x)
+                        want_val = eval_bi(f, *fr.canon(x))
+                        want_jac = fr.jacobian(x)
+                        assert np.array_equal(val, want_val), (basis, m, n, x)
+                        if basis is Basis.BERNSTEIN:
+                            err = np.max(np.abs(jac - want_jac))
+                            assert err <= 1e-14 * scale, (m, n, x, err)
+                        else:
+                            assert np.array_equal(jac, want_jac), (basis, m, n, x)
+
+    def test_solver_needs_two_components(self):
+        """Grids may hold any number of components; the solver takes two."""
+        rng = np.random.default_rng(88)
+        for basis in BASES:
+            for d in (1, 3):
+                f = BivariateSystem(basis, rng.standard_normal((3, 3, d)))
+                with pytest.raises(ValueError, match="2-component"):
+                    kts_solve(f)
+
+
 class TestRhoStar:
     def test_affine_caps(self):
         rho, omega = rho_star(affine_center_root(), np.array([0.5, 0.5]))
@@ -539,6 +635,21 @@ class TestKtsSolve:
             r = kts_solve(convert(protocol_system(600), basis))
             assert r.patches_examined > 1
             assert len(calls) == 1, basis
+
+    def test_tiny_system_keeps_its_zero(self):
+        """Scaling F by 1e-12 changes no decision: the singular-Jacobian
+        test and Newton's residual test both scale with the system."""
+        c = np.random.default_rng(5).standard_normal((3, 3, 2))
+        cfg = SolverConfig(min_half_width=2**-12)
+        for basis in BASES:
+            base = kts_solve(convert(BivariateSystem(Basis.CHEBYSHEV, c), basis), cfg)
+            tiny = kts_solve(convert(BivariateSystem(Basis.CHEBYSHEV, 1e-12 * c), basis), cfg)
+            assert len(base.zeros) == 1 and not base.unresolved, basis
+            assert report_counters(tiny) == report_counters(base), basis
+            got, want = sorted_zero_locations(tiny), sorted_zero_locations(base)
+            assert len(got) == len(want), basis
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12, basis
 
     def test_rejects_non_finite_coefficients(self):
         """A NaN coefficient fails fast instead of subdividing to the floor."""
