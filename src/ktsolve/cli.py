@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .basis import Basis, BivariateSystem, convert
+from .basis import MAX_CONVERT_DEGREE, Basis, BivariateSystem, convert
 from .families import BENCH_BASES, bench_systems, interval_comparison
 from .solver import SolverConfig, condition_estimate, kts_solve
 
@@ -28,6 +28,8 @@ log = logging.getLogger("ktsolve.cli")
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNRESOLVED = 2
+# 2**-1074 is the smallest positive double, so deeper limits would be 0
+MAX_DEPTH = 1074
 
 
 class SystemFileError(ValueError):
@@ -125,16 +127,27 @@ def _cmd_solve(args):
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    settings = {}
+    if args.tol is not None:
+        settings["newton_tol"] = args.tol
+    if args.max_depth is not None:
+        if not 1 <= args.max_depth <= MAX_DEPTH:
+            print(
+                f"error: --max-depth must be in [1, {MAX_DEPTH}], got {args.max_depth}",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
+        settings["min_half_width"] = 2.0 ** -args.max_depth
+    try:
+        cfg = SolverConfig(**settings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if args.basis:
         system = convert(system, Basis(args.basis))
-    cfg = SolverConfig()
-    if args.tol is not None:
-        cfg.newton_tol = args.tol
-    if args.max_depth is not None:
-        cfg.min_half_width = 2.0 ** -args.max_depth
     report = kts_solve(system, cfg)
     if args.cond:
-        report.cond_estimate = condition_estimate(system, report.zeros, cfg)
+        report.cond_estimate = condition_estimate(system, report.zeros)
 
     print(f"basis: {system.basis.value}, degrees ({system.degree_u}, {system.degree_v})")
     print(
@@ -176,6 +189,13 @@ def _fmt(value):
 
 
 def _cmd_bench(args):
+    if not 0 <= args.min_degree <= args.max_degree <= MAX_CONVERT_DEGREE:
+        print(
+            f"error: degrees must satisfy 0 <= --min-degree <= --max-degree <= "
+            f"{MAX_CONVERT_DEGREE}, got {args.min_degree} and {args.max_degree}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
     results = bench_systems(
         args.count, args.min_degree, args.max_degree, args.seed
     )

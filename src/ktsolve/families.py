@@ -147,7 +147,7 @@ def bench_systems(count, min_degree, max_degree, seed, config=None):
         reports = {}
         for target in BENCH_BASES:
             reports[target.value] = kts_solve(convert(f_cheb, target), cfg)
-        cond = condition_estimate(f_cheb, reports[Basis.CHEBYSHEV.value].zeros, cfg)
+        cond = condition_estimate(f_cheb, reports[Basis.CHEBYSHEV.value].zeros)
         results.append(
             BenchResult(
                 seed=system_seed,

@@ -7,9 +7,10 @@ A coefficient grid in any supported basis denotes the map
 where g is the grid's polynomial on its basis' canonical square
 [l, h]^2. All solver-level coordinates (patches, Newton iterates,
 reported zeros, certified radii) live in the unit-square frame, so the
-same function expressed in different bases yields the same zero set;
-the translation to canonical coordinates happens only where coefficient
-grids are restricted to patches.
+same function expressed in different bases yields the same zero set.
+So do the derived quantities: Jacobians, their inverses and Lipschitz
+constants are those of the unit-square map F. The translation to
+canonical coordinates lives in _Frame alone.
 
 The search keeps a FIFO queue of square patches. Each patch is either
 discarded because a coefficient enclosure proves F cannot vanish on it,
@@ -49,15 +50,28 @@ _SINGULAR_REL = 1e-14
 _REPORT_SLACK = 1e-9
 _RHO_REL_WIDTH = 1e-6
 RHO_CAP = 4.0
+NEWTON_MAX_ITERS = 50
+RHO_SEARCH_ITERS = 60
+GRID_DENSITY = 33
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """The solver's two settings, checked when the config is built.
+
+    newton_tol: Newton has converged once max|F| <= newton_tol * max|c_ij|;
+    finite and > 0. min_half_width: a patch whose children would be
+    narrower is reported unresolved instead of split; in (0, 1/2].
+    """
+
     newton_tol: float = 1e-12
-    newton_max_iters: int = 50
     min_half_width: float = 2.0**-40
-    rho_search_iters: int = 60
-    grid_density: int = 33
+
+    def __post_init__(self):
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be finite and > 0, got {self.newton_tol!r}")
+        if not 0.0 < self.min_half_width <= 0.5:
+            raise ValueError(f"min_half_width must be in (0, 1/2], got {self.min_half_width!r}")
 
 
 @dataclass
@@ -92,10 +106,16 @@ class SolveReport:
 class _Frame:
     """Cached per-system data: unit-square map, derivatives, constants.
 
-    Everything here is built once per system and read at every patch:
-    the halving matrices that derive children's grids, the grid [f, f_u,
-    f_v] that value_and_jacobian evaluates in one eval_bi call, and the
-    power-form second partials behind lipschitz_at.
+    The only place where the unit-square frame meets the basis' canonical
+    square [lo, lo + s]^2: canon and canon_patch map points and patches
+    across, and fu, fv and second_partials are partials of the unit-square
+    map F(x) = g(lo + s x), each canonical derivative times s. s is 1 or 2
+    and differentiation is linear, so that scaling is exact, and every
+    Jacobian, inverse and Lipschitz constant built from them is in the
+    unit frame with no further factor. Built once per system and read at
+    every patch: the halving matrices, the grid [f, f_u, f_v] that
+    value_and_jacobian evaluates in one eval_bi call, and the power-form
+    second partials behind lipschitz_at.
     """
 
     def __init__(self, f):
@@ -116,43 +136,38 @@ class _Frame:
         return self.lo + self.s * np.asarray(x, dtype=np.float64)
 
     def canon_patch(self, x):
-        u0, v0 = x.center
-        return Patch(
-            (self.lo + self.s * u0, self.lo + self.s * v0), self.s * x.half_width
-        )
+        return Patch(tuple(self.canon(x.center)), self.s * x.half_width)
 
     @cached_property
     def halving(self):
         """Per-axis halving matrices of the system's grid (see subdivide_grid)."""
-        basis = self.f.basis
-        return (
-            halving_matrices(basis, self.f.degree_u),
-            halving_matrices(basis, self.f.degree_v),
-        )
+        f = self.f
+        return halving_matrices(f.basis, f.degree_u), halving_matrices(f.basis, f.degree_v)
+
+    def _partial(self, g, axis):
+        """Partial of g's unit-square map along axis, as a grid in g's basis."""
+        d = derivative_bi(g, axis)
+        return BivariateSystem(d.basis, self.s * d.coeffs)
 
     @cached_property
     def fu(self):
-        return derivative_bi(self.f, 0)
+        return self._partial(self.f, 0)
 
     @cached_property
     def fv(self):
-        return derivative_bi(self.f, 1)
+        return self._partial(self.f, 1)
 
     @cached_property
     def second_partials(self):
-        """(g_uu, g_uv, g_vv) in canonical coordinates."""
-        return (
-            derivative_bi(self.fu, 0),
-            derivative_bi(self.fu, 1),
-            derivative_bi(self.fv, 1),
-        )
+        """(F_uu, F_uv, F_vv) of the unit-square map."""
+        return self._partial(self.fu, 0), self._partial(self.fu, 1), self._partial(self.fv, 1)
 
     @cached_property
     def taylor_base(self):
         """The second partials in power form, stacked for one-pass bounds.
 
-        Each partial is expressed in the reference variable
-        t = -1 + 2(x - lo)/s on [-1, 1]^2 and zero-padded into one stack
+        Each partial is expressed in the reference variable t = 2x - 1 on
+        [-1, 1]^2, x the unit-square point, and zero-padded into one stack
         of shape (3 partials, 1, 2 components, M, N), so that one shift
         matrix per axis serves all three and a Jacobian inverse mixes the
         components by broadcasting over the singleton axis. Alongside it:
@@ -180,19 +195,19 @@ class _Frame:
         return partials, expo, back_u, back_vt
 
     def lipschitz_at(self, jac_inv, center):
-        """Lipschitz bound of y -> jac_inv @ g'(y) over square balls about
-        a canonical point, as a function of the ball's half-width r.
+        """Lipschitz bound of y -> jac_inv @ F'(y) over square balls about
+        a unit-square point, as a function of the ball's half-width r.
 
         The partials are mixed with jac_inv and Taylor-shifted to the
         centre once, here, into a (3 partials, 2 rows, M, N) stack. Each
-        radius then scales coefficient (i, j) by (2r/s)^(i+j), takes the
+        radius then scales coefficient (i, j) by (2r)^(i+j), takes the
         whole stack back to the system's basis with two batched products,
         and bounds all six grids with one bounding_interval_bi call, the
         same enclosure a restriction to the ball would get. Row i's bound
-        is |g_uu| + 2|g_uv| + |g_vv| of its enclosure magnitudes.
+        is |F_uu| + 2|F_uv| + |F_vv| of its enclosure magnitudes.
         """
         partials, expo, back_u, back_vt = self.taylor_base
-        t0 = -1.0 + 2.0 * (np.asarray(center, dtype=np.float64) - self.lo) / self.s
+        t0 = 2.0 * np.asarray(center, dtype=np.float64) - 1.0
         # (3, 1, 2, M, N) * (2 rows, 2 components, 1, 1), summed over components
         mixed = (np.asarray(jac_inv)[:, :, None, None] * partials).sum(axis=2)
         shift_u = taylor_shift(expo.shape[2], t0[0])
@@ -201,7 +216,7 @@ class _Frame:
         basis = self.f.basis
 
         def bound(r):
-            c = back_u @ (shifted * (2.0 * r / self.s) ** expo) @ back_vt
+            c = back_u @ (shifted * (2.0 * r) ** expo) @ back_vt
             lo, hi = bounding_interval_bi(basis, c)
             mag = np.maximum(np.abs(lo), np.abs(hi))
             return float(np.max(mag[0] + 2.0 * mag[1] + mag[2]))
@@ -230,20 +245,19 @@ class _Frame:
         return BivariateSystem(self.f.basis, grid)
 
     def value_and_jacobian(self, x):
-        """F(x) and F'(x) in the unit-square frame (chain-rule factor s
-        applied to F'), from one eval_bi call."""
+        """F(x) and F'(x) at a unit-square point, from one eval_bi call."""
         t = self.canon(x)
         out = eval_bi(self.value_jacobian_system, t[0], t[1])
-        return out[:2], self.s * out[2:].reshape(2, 2).T
+        return out[:2], out[2:].reshape(2, 2).T
 
     def jacobian(self, x):
-        """F'(x) in the unit-square frame, from the separate grids of f_u
-        and f_v; condition_estimate reads it, and it is the reference that
+        """F'(x) at a unit-square point, from the separate grids of f_u and
+        f_v; condition_estimate reads it, and it is the reference that
         value_and_jacobian must match."""
         t = self.canon(x)
         ju = eval_bi(self.fu, t[0], t[1])
         jv = eval_bi(self.fv, t[0], t[1])
-        return self.s * np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
+        return np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
 
 
 def _elevate(c, k1):
@@ -331,25 +345,18 @@ def exclusion_test(f, x, *, _frame=None, _grid=None):
     return not contains_origin(bounding_polytope(BivariateSystem(f.basis, _grid)))
 
 
-def lipschitz_bound(f, jac_inv_at, ball, *, _frame=None):
-    """Bound on the Lipschitz constant of y -> jac_inv_at @ g'(y) over a
+def lipschitz_bound(f, jac_inv, ball, *, _frame=None):
+    """Bound on the Lipschitz constant of y -> jac_inv @ F'(y) over a
     square ball, from coefficient enclosures of the second partials.
 
-    Everything here is in the system's own canonical coordinates: the
-    ball, the Jacobian inverse, and the returned constant.
+    Everything here is in the unit-square frame: the ball, the Jacobian
+    inverse (of F'), and the returned constant.
     """
     fr = _frame or _Frame(f)
-    return fr.lipschitz_at(jac_inv_at, ball.center)(ball.half_width)
+    return fr.lipschitz_at(jac_inv, ball.center)(ball.half_width)
 
 
-def _omega_unit(fr, jac_inv_raw, center_unit, radius_unit):
-    """Lipschitz bound in the unit-square frame over an inf-norm ball."""
-    t = fr.canon(center_unit)
-    ball = Patch((t[0], t[1]), fr.s * radius_unit)
-    return fr.s * lipschitz_bound(fr.f, jac_inv_raw, ball, _frame=fr)
-
-
-def kantorovich_test(f, x, config=None, *, _frame=None):
+def kantorovich_test(f, x, *, _frame=None):
     """Affine-invariant convergence test for Newton from the patch center.
 
     Passes when eta * omega <= 1/4 and the certified ball around the
@@ -364,8 +371,8 @@ def kantorovich_test(f, x, config=None, *, _frame=None):
     if inv is None:
         return KantorovichOutcome(False, math.inf, math.inf, math.inf, False)
     eta = float(np.max(np.abs(inv @ val)))
-    jac_inv_raw = fr.s * inv  # inverse of the canonical-frame Jacobian
-    omega = _omega_unit(fr, jac_inv_raw, x0, 2.0 * fr.gamma * x.half_width)
+    ball = Patch(x.center, 2.0 * fr.gamma * x.half_width)
+    omega = lipschitz_bound(f, inv, ball, _frame=fr)
     h = eta * omega
     if omega == 0.0:
         rho_minus = eta
@@ -392,11 +399,11 @@ def newton(f, x0, config=None, *, _frame=None):
     fr = _frame or _Frame(f)
     tol = cfg.newton_tol * fr.residual_scale
     x = np.asarray(x0, dtype=np.float64).copy()
-    for it in range(cfg.newton_max_iters + 1):
+    for it in range(NEWTON_MAX_ITERS + 1):
         val, jac = fr.value_and_jacobian(x)
         if float(np.max(np.abs(val))) <= tol:
             return x, it
-        if it == cfg.newton_max_iters:
+        if it == NEWTON_MAX_ITERS:
             return None
         inv = _inv2(jac)
         if inv is None:
@@ -407,32 +414,28 @@ def newton(f, x0, config=None, *, _frame=None):
     return None
 
 
-def rho_star(f, zero, config=None, *, _frame=None):
+def rho_star(f, zero, *, _frame=None):
     """Radius of certified uniqueness around a zero, with its omega.
 
     Solves rho * omega_hat(rho) = 2 by bisection on [0, RHO_CAP], until
     the bracket's width is at most 1e-6 of its lower end or
-    rho_search_iters steps have run, and returns that lower end: the
+    RHO_SEARCH_ITERS steps have run, and returns that lower end: the
     largest radius the test accepted, so rho * omega <= 2 holds as
     computed. When even the cap's ball has omega small enough (or zero,
-    for affine systems) the cap itself is returned.
+    for affine systems) the cap itself is returned. The Taylor shift to
+    the zero is built once and serves every radius of the search.
     """
-    cfg = config or SolverConfig()
     fr = _frame or _Frame(f)
     x = np.asarray(zero, dtype=np.float64)
     inv = _inv2(fr.value_and_jacobian(x)[1])
     if inv is None:
         raise ValueError("Jacobian is singular at the zero")
-    bound = fr.lipschitz_at(fr.s * inv, fr.canon(x))
-
-    def omega_hat(rho):
-        return fr.s * bound(fr.s * rho)
-
+    omega_hat = fr.lipschitz_at(inv, x)
     w_cap = omega_hat(RHO_CAP)
     if w_cap == 0.0 or RHO_CAP * w_cap <= 2.0:
         return RHO_CAP, w_cap
     lo, hi, w_lo = 0.0, RHO_CAP, None
-    for _ in range(cfg.rho_search_iters):
+    for _ in range(RHO_SEARCH_ITERS):
         if hi - lo <= _RHO_REL_WIDTH * lo:
             break
         mid = 0.5 * (lo + hi)
@@ -483,7 +486,7 @@ def kts_solve(f, config=None):
                 log.debug("patch %s excluded", patch)
             continue
 
-        outcome = kantorovich_test(f, patch, cfg, _frame=fr)
+        outcome = kantorovich_test(f, patch, _frame=fr)
         if outcome.passed:
             kantorovich_passes += 1
             result = newton(f, patch.center, cfg, _frame=fr)
@@ -495,7 +498,7 @@ def kts_solve(f, config=None):
                     for bu, bv, r in balls
                 )
                 if not known:
-                    radius, omega = rho_star(f, location, cfg, _frame=fr)
+                    radius, omega = rho_star(f, location, _frame=fr)
                     balls.append((lu, lv, radius))
                     zeros.append(ZeroRecord(location, radius, omega, iterations))
                     log.info(
@@ -531,7 +534,7 @@ def kts_solve(f, config=None):
     )
 
 
-def condition_estimate(f, zeros, config=None, *, _frame=None):
+def condition_estimate(f, zeros, *, _frame=None):
     """Conditioning estimate over the reported zeros (real zeros only).
 
     For each zero, takes the largest of its certified omega_star, the
@@ -541,30 +544,26 @@ def condition_estimate(f, zeros, config=None, *, _frame=None):
     """
     if not zeros:
         return None
-    cfg = config or SolverConfig()
     fr = _frame or _Frame(f)
-    pts = np.linspace(0.0, 1.0, cfg.grid_density)
-    ts = fr.lo + fr.s * pts
+    ts = fr.canon(np.linspace(0.0, 1.0, GRID_DENSITY))
     gu = eval_bi_grid(fr.fu, ts, ts)
     gv = eval_bi_grid(fr.fv, ts, ts)
+    square = Patch((0.5, 0.5), 0.5 + fr.gamma)
 
     worst = 0.0
     for record in zeros:
-        # the canonical-frame Jacobian; s is 1 or 2, so the division is exact
-        inv_raw = _inv2(fr.jacobian(record.location) / fr.s)
-        if inv_raw is None:
+        inv = _inv2(fr.jacobian(record.location))
+        if inv is None:
             return math.inf
-        # rows of inv_raw @ g'(y) over the whole grid (scale factors cancel)
-        r00 = inv_raw[0, 0] * gu[..., 0] + inv_raw[0, 1] * gu[..., 1]
-        r01 = inv_raw[0, 0] * gv[..., 0] + inv_raw[0, 1] * gv[..., 1]
-        r10 = inv_raw[1, 0] * gu[..., 0] + inv_raw[1, 1] * gu[..., 1]
-        r11 = inv_raw[1, 0] * gv[..., 0] + inv_raw[1, 1] * gv[..., 1]
+        # rows of inv @ F'(y) over the whole grid
+        r00 = inv[0, 0] * gu[..., 0] + inv[0, 1] * gu[..., 1]
+        r01 = inv[0, 0] * gv[..., 0] + inv[0, 1] * gv[..., 1]
+        r10 = inv[1, 0] * gu[..., 0] + inv[1, 1] * gu[..., 1]
+        r11 = inv[1, 0] * gv[..., 0] + inv[1, 1] * gv[..., 1]
         grid_max = float(
             np.max(np.maximum(np.abs(r00) + np.abs(r01), np.abs(r10) + np.abs(r11)))
         )
         grid_max = max(1.0, grid_max)  # the zero itself contributes identity
-        omega_box = _omega_unit(
-            fr, inv_raw, np.array([0.5, 0.5]), 0.5 + fr.gamma
-        )
+        omega_box = lipschitz_bound(f, inv, square, _frame=fr)
         worst = max(worst, record.omega_star, omega_box, grid_max)
     return worst

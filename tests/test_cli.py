@@ -183,6 +183,38 @@ class TestSolveCommand:
         assert code == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+            ["--tol", "0"],
+            ["--tol", "inf"],
+            ["--max-depth", "-3"],
+            ["--max-depth", "0"],
+            ["--max-depth", "1075"],
+            ["--max-depth", "1100"],
+            ["--max-depth", "-2000"],
+        ],
+    )
+    def test_bad_setting_is_input_error(self, tmp_path, capsys, flags):
+        """A tolerance or depth the solver cannot honour stops before any patch."""
+        path = affine_center_file(tmp_path)
+        code = main(["solve", "--input", str(path)] + flags)
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "patches examined" not in captured.out
+
+    def test_extreme_valid_settings_solve(self, tmp_path, capsys):
+        """The ends of the valid ranges run the solver. Depth 1 stops the
+        root at the floor (exit 2) after it has certified the zero."""
+        path = affine_center_file(tmp_path)
+        for flags in (["--max-depth", "1"], ["--max-depth", "1074"], ["--tol", "1e-300"]):
+            code = main(["solve", "--input", str(path)] + flags)
+            assert code in (EXIT_OK, EXIT_UNRESOLVED), flags
+            assert "zeros found: 1" in capsys.readouterr().out
+
 
 class TestBenchCommand:
     def test_writes_csv_with_exact_header(self, tmp_path, capsys):
@@ -206,6 +238,27 @@ class TestBenchCommand:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "2" and first[2] == "2"
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [("5", "2"), ("-1", "2"), ("2", "21"), ("21", "21"), ("0", "-1")],
+    )
+    def test_bad_degree_range_is_input_error(self, tmp_path, capsys, degrees):
+        """An empty or unsupported degree range stops with one error line."""
+        out = tmp_path / "bench.csv"
+        lo, hi = degrees
+        code = main(
+            ["bench", "--count", "2", "--min-degree", lo, "--max-degree", hi, "--out", str(out)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_degree_zero_range(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--count", "2", "--min-degree", "0", "--max-degree", "0"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -59,6 +59,124 @@ PROTOCOL_COUNTERS = {
     (604, Basis.BERNSTEIN): (73, 46, 2, 9, 0),
     (604, Basis.CHEBYSHEV): (105, 66, 2, 13, 0),
 }
+# Certificates per (seed, basis) to 12 significant digits:
+# (condition_estimate, [(rho_star, omega_star) per zero, zeros sorted by location]).
+PROTOCOL_CERTIFICATES = {
+    (600, Basis.POWER): (
+        473.172115091,
+        [
+            (0.112325489521, 17.8053869278),
+            (0.103215515614, 19.3769199789),
+            (0.11160492897, 17.9203478098),
+        ],
+    ),
+    (600, Basis.BERNSTEIN): (
+        471.353217986,
+        [
+            (0.115586876869, 17.3029897314),
+            (0.105210781097, 19.0094556943),
+            (0.112881243229, 17.7177267978),
+        ],
+    ),
+    (600, Basis.CHEBYSHEV): (
+        461.882446129,
+        [
+            (0.113896846771, 17.5597453929),
+            (0.104188084602, 19.1960519432),
+            (0.112233400345, 17.8200050207),
+        ],
+    ),
+    (601, Basis.POWER): (
+        494.212150712,
+        [
+            (0.116763949394, 17.1285625171),
+            (0.10834389925, 18.4597268009),
+        ],
+    ),
+    (601, Basis.BERNSTEIN): (
+        484.736951613,
+        [
+            (0.116763949394, 17.1285625171),
+            (0.10834389925, 18.4597268009),
+        ],
+    ),
+    (601, Basis.CHEBYSHEV): (
+        492.960732034,
+        [
+            (0.116763949394, 17.1285625171),
+            (0.10834389925, 18.4597268009),
+        ],
+    ),
+    (602, Basis.POWER): (
+        691.054179381,
+        [
+            (0.0924551486969, 21.6321103415),
+            (0.0798264741898, 25.054337196),
+            (0.0660398602486, 30.284719568),
+        ],
+    ),
+    (602, Basis.BERNSTEIN): (
+        675.325005619,
+        [
+            (0.0965678095818, 20.7108216015),
+            (0.0798264741898, 25.054337196),
+            (0.0666587352753, 30.0035674734),
+        ],
+    ),
+    (602, Basis.CHEBYSHEV): (
+        674.078817184,
+        [
+            (0.0943949222565, 21.1875714036),
+            (0.0798264741898, 25.054337196),
+            (0.0663453936577, 30.1452445915),
+        ],
+    ),
+    (603, Basis.POWER): (
+        1105.1031577,
+        [
+            (0.0985341668129, 20.2975243204),
+            (0.0875638723373, 22.8404562374),
+            (0.0530801713467, 37.6788376636),
+        ],
+    ),
+    (603, Basis.BERNSTEIN): (
+        1088.67221769,
+        [
+            (0.0996885299683, 20.0624867135),
+            (0.0911429524422, 21.9435303409),
+            (0.053393214941, 37.4579417497),
+        ],
+    ),
+    (603, Basis.CHEBYSHEV): (
+        1098.71399861,
+        [
+            (0.0991023778915, 20.1811442022),
+            (0.0903537869453, 22.1351949048),
+            (0.053235411644, 37.5689500844),
+        ],
+    ),
+    (604, Basis.POWER): (
+        3278.58724006,
+        [
+            (0.0198743492365, 100.632201003),
+            (0.120497465134, 16.5978550721),
+        ],
+    ),
+    (604, Basis.BERNSTEIN): (
+        3224.05878903,
+        [
+            (0.0199045240879, 100.479608723),
+            (0.121047616005, 16.5224046879),
+        ],
+    ),
+    (604, Basis.CHEBYSHEV): (
+        3228.09303714,
+        [
+            (0.0198893994093, 100.556009283),
+            (0.12184035778, 16.4149203398),
+        ],
+    ),
+}
 # Zero locations rounded to 1e-10; every basis finds the same set.
 PROTOCOL_ZEROS = {
     600: [
@@ -100,8 +218,9 @@ def quad_pair():
 
 
 def restricted_lipschitz_bound(f, jac_inv_at, ball):
-    """Reference bound: restrict each second partial to the ball, mix the
-    rows with jac_inv_at, and bound the restricted grids."""
+    """Reference bound in canonical coordinates: restrict each second
+    partial to the ball, mix the rows with jac_inv_at, and bound the
+    restricted grids."""
     gu = derivative_bi(f, 0)
     gv = derivative_bi(f, 1)
     partials = (derivative_bi(gu, 0), derivative_bi(gu, 1), derivative_bi(gv, 1))
@@ -113,6 +232,14 @@ def restricted_lipschitz_bound(f, jac_inv_at, ball):
             lo, hi = bounding_interval_bi(f.basis, mixed)
             row_sums[i] += mult * max(abs(lo), abs(hi))
     return max(row_sums)
+
+
+def unit_ball(basis, ball):
+    """A canonical-coordinate ball mapped to the unit-square frame."""
+    lo, hi = basis.domain
+    s = hi - lo
+    u0, v0 = ball.center
+    return Patch(((u0 - lo) / s, (v0 - lo) / s), ball.half_width / s)
 
 
 def random_patch_in_square(rng):
@@ -235,31 +362,36 @@ class TestLipschitz:
             assert lipschitz_bound(f, np.eye(2), ball) == 0.0
 
     def test_separable_quadratic_pin(self):
-        """g = (u^2, v) with unit jac_inv has constant bound 2."""
+        """g = (u^2, v) with unit jac_inv: its unit-square map
+        F(x, y) = ((2x - 1)^2, 2y - 1) has F_xx = 8 = 2^2 * 2, a constant bound."""
         c = np.zeros((3, 2, 2))
         c[2, 0] = (1.0, 0.0)
         c[0, 1] = (0.0, 1.0)
         g = BivariateSystem(Basis.POWER, c)
-        got = lipschitz_bound(g, np.eye(2), Patch((0.5, 0.5), 0.1))
-        assert got == 2.0
+        got = lipschitz_bound(g, np.eye(2), unit_ball(Basis.POWER, Patch((0.5, 0.5), 0.1)))
+        assert got == 8.0
 
     def test_matches_restricted_reference(self):
         """The Taylor-grid bound equals the bound of the restricted partials,
         for centres inside and outside the canonical square, including
-        degrees where the three partials' grids differ most in shape."""
+        degrees where the three partials' grids differ most in shape. The
+        bound is in the unit frame, so the canonical ball is mapped there
+        and the canonical reference scaled by s^2, s the side of the
+        canonical square."""
         rng = np.random.default_rng(83)
         degrees = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
         degrees += [(1, 1), (1, 4), (4, 1), (5, 2), (6, 6)]
         for basis in BASES:
             lo, hi = basis.domain
+            s = hi - lo
             for m, n in degrees:
                 f = random_system(rng, basis, m, n)
                 jac_inv = rng.standard_normal((2, 2))
                 for r in (1e-3, 0.02, 0.3, 1.0, 4.0):
                     center = tuple(rng.uniform(lo - 1.0, hi + 1.0, 2))
                     ball = Patch(center, r)
-                    got = lipschitz_bound(f, jac_inv, ball)
-                    want = restricted_lipschitz_bound(f, jac_inv, ball)
+                    got = lipschitz_bound(f, jac_inv, unit_ball(basis, ball))
+                    want = s**2 * restricted_lipschitz_bound(f, jac_inv, ball)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0), (basis, m, n)
 
     def test_one_enclosure_call_per_bound(self, monkeypatch):
@@ -293,24 +425,27 @@ class TestLipschitz:
                 assert np.all(np.abs(got - want) <= 1e-14 * scale), (n, t0)
 
     def test_dominates_sampled_quotients(self):
-        """Bound is above every sampled difference quotient of jac_inv g'."""
+        """Bound is above every sampled difference quotient of jac_inv F',
+        F' the Jacobian of the unit-square map."""
         rng = np.random.default_rng(72)
         for basis in BASES:
             lo, hi = basis.domain
+            s = hi - lo
             for _ in range(10):
                 f = random_system(rng, basis, 3, 3)
                 gu = derivative_bi(f, 0)
                 gv = derivative_bi(f, 1)
-                r = rng.uniform(0.05, 0.2) * (hi - lo) / 2
-                cu = rng.uniform(lo + r, hi - r)
-                cv = rng.uniform(lo + r, hi - r)
+                r = rng.uniform(0.05, 0.2) / 2
+                cu = rng.uniform(r, 1.0 - r)
+                cv = rng.uniform(r, 1.0 - r)
                 jac_inv = rng.standard_normal((2, 2))
                 bound = lipschitz_bound(f, jac_inv, Patch((cu, cv), r))
 
                 def jac(pt):
-                    ju = eval_bi(gu, pt[0], pt[1])
-                    jv = eval_bi(gv, pt[0], pt[1])
-                    return np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
+                    t = lo + s * pt
+                    ju = eval_bi(gu, t[0], t[1])
+                    jv = eval_bi(gv, t[0], t[1])
+                    return s * np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
 
                 worst = 0.0
                 for _ in range(500):
@@ -602,9 +737,15 @@ class TestKtsSolve:
                     assert z.rho_star * z.omega_star <= 2.0, (seed, basis, z)
 
     def test_protocol_fingerprints(self):
-        """Counters and zero sets of the protocol systems stay as recorded."""
+        """Counters, zero sets and certificates of the protocol systems stay
+        as recorded."""
+
+        def sig12(v):
+            return float(f"{v:.12g}")
+
         for (seed, basis), counters in PROTOCOL_COUNTERS.items():
-            r = kts_solve(convert(protocol_system(seed), basis))
+            f = convert(protocol_system(seed), basis)
+            r = kts_solve(f)
             got = (
                 r.patches_examined,
                 r.exclusion_passes,
@@ -618,6 +759,10 @@ class TestKtsSolve:
                 for z in r.zeros
             )
             assert zeros == PROTOCOL_ZEROS[seed], (seed, basis)
+            by_location = sorted(r.zeros, key=lambda z: (z.location[0], z.location[1]))
+            certs = [(sig12(z.rho_star), sig12(z.omega_star)) for z in by_location]
+            cond = sig12(condition_estimate(f, r.zeros))
+            assert (cond, certs) == PROTOCOL_CERTIFICATES[seed, basis], (seed, basis)
 
     def test_restricts_once_per_solve(self, monkeypatch):
         """Patches carry their grids down, so only the root is restricted."""
@@ -650,6 +795,31 @@ class TestKtsSolve:
             assert len(got) == len(want), basis
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12, basis
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"newton_tol": math.nan},
+            {"newton_tol": 0.0},
+            {"newton_tol": -1.0},
+            {"newton_tol": math.inf},
+            {"min_half_width": math.nan},
+            {"min_half_width": 0.0},
+            {"min_half_width": -2.0**-10},
+            {"min_half_width": 0.75},
+            {"min_half_width": math.inf},
+        ],
+    )
+    def test_config_rejects_bad_settings(self, settings):
+        """A setting that would stall or skip the search fails on construction."""
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            SolverConfig(**settings)
+
+    def test_config_accepts_edge_settings(self):
+        cfg = SolverConfig(newton_tol=5e-324, min_half_width=0.5)
+        assert (cfg.newton_tol, cfg.min_half_width) == (5e-324, 0.5)
+        report = kts_solve(affine_center_root(), SolverConfig(min_half_width=2.0**-1074))
+        assert len(report.zeros) == 1
 
     def test_rejects_non_finite_coefficients(self):
         """A NaN coefficient fails fast instead of subdividing to the floor."""
