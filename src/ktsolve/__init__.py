@@ -12,7 +12,6 @@ import logging
 from .basis import (
     Basis,
     BivariateSystem,
-    ConversionMatrix,
     DegreeLimitError,
     UnivariatePolynomial,
     bernstein_product,
@@ -37,7 +36,6 @@ from .bounding import (
     xi_bernstein,
 )
 from .families import (
-    ExperimentFamily,
     bench_systems,
     generate_family,
     interval_comparison,
@@ -65,9 +63,7 @@ __all__ = [
     "Basis",
     "BivariateSystem",
     "ControlHull",
-    "ConversionMatrix",
     "DegreeLimitError",
-    "ExperimentFamily",
     "KantorovichOutcome",
     "Patch",
     "SolveReport",

@@ -114,15 +114,6 @@ class BivariateSystem:
         return float(np.max(np.abs(self.coeffs)))
 
 
-@dataclass
-class ConversionMatrix:
-    """Dense change-of-basis matrix: target_coeffs = matrix @ source_coeffs."""
-
-    source: Basis
-    target: Basis
-    matrix: np.ndarray = field(repr=False)
-
-
 _EVAL_COLS = {
     Basis.POWER: kernels.horner_cols,
     Basis.BERNSTEIN: kernels.decasteljau_cols,
@@ -130,21 +121,18 @@ _EVAL_COLS = {
 }
 
 
-def _eval_cols(basis, cols, t):
-    return _EVAL_COLS[basis](cols, t)
-
-
 def eval_uni(f, t):
     """Value of a univariate polynomial at t; float for d = 1, else (d,)."""
-    out = _eval_cols(f.basis, f.coeffs, t)
+    out = _EVAL_COLS[f.basis](f.coeffs, t)
     return float(out[0]) if f.components == 1 else out
 
 
 def eval_bi(f, u, v):
     """Value of a bivariate grid at (u, v); float for d = 1, else (d,)."""
     m1, n1, d = f.coeffs.shape
-    inner = _eval_cols(f.basis, f.coeffs.reshape(m1, n1 * d), u).reshape(n1, d)
-    out = _eval_cols(f.basis, inner, v)
+    eval_cols = _EVAL_COLS[f.basis]
+    inner = eval_cols(f.coeffs.reshape(m1, n1 * d), u).reshape(n1, d)
+    out = eval_cols(inner, v)
     return float(out[0]) if d == 1 else out
 
 
@@ -241,8 +229,9 @@ def _bernstein_to_unit_power_matrix(n):
 
 
 def conversion_matrix(source, target, n):
-    """Change-of-basis matrix for degree n, composing the affine map
-    between the two canonical intervals where they differ."""
+    """Change-of-basis matrix M for degree n, target_coeffs = M @
+    source_coeffs, composing the affine map between the two canonical
+    intervals where they differ."""
     source, target = Basis(source), Basis(target)
     if n > MAX_CONVERT_DEGREE:
         raise DegreeLimitError(
@@ -263,10 +252,10 @@ def conversion_matrix(source, target, n):
         mat = unshift @ _bernstein_to_unit_power_matrix(n)
     else:
         # Bernstein <-> Chebyshev route through power
-        a = conversion_matrix(source, Basis.POWER, n).matrix
-        b = conversion_matrix(Basis.POWER, target, n).matrix
+        a = conversion_matrix(source, Basis.POWER, n)
+        b = conversion_matrix(Basis.POWER, target, n)
         mat = b @ a
-    return ConversionMatrix(source, target, mat)
+    return mat
 
 
 def convert_uni(f, target):
@@ -275,7 +264,7 @@ def convert_uni(f, target):
     target = Basis(target)
     if target is f.basis:
         return UnivariatePolynomial(f.basis, f.coeffs.copy())
-    mat = conversion_matrix(f.basis, target, f.degree).matrix
+    mat = conversion_matrix(f.basis, target, f.degree)
     return UnivariatePolynomial(target, mat @ f.coeffs)
 
 
@@ -285,8 +274,8 @@ def convert(f, target):
     if target is f.basis:
         return BivariateSystem(f.basis, f.coeffs.copy())
     m1, n1, d = f.coeffs.shape
-    mu = conversion_matrix(f.basis, target, m1 - 1).matrix
-    mv = conversion_matrix(f.basis, target, n1 - 1).matrix
+    mu = conversion_matrix(f.basis, target, m1 - 1)
+    mv = conversion_matrix(f.basis, target, n1 - 1)
     c = np.tensordot(mu, f.coeffs, axes=(1, 0))
     c = np.swapaxes(np.tensordot(mv, np.swapaxes(c, 0, 1), axes=(1, 0)), 0, 1)
     return BivariateSystem(target, c)
@@ -332,13 +321,7 @@ def basis_matrix(basis, degree, ts):
     if basis is Basis.POWER:
         return np.vander(ts, degree + 1, increasing=True)
     if basis is Basis.CHEBYSHEV:
-        cols = np.empty((ts.shape[0], degree + 1))
-        cols[:, 0] = 1.0
-        if degree >= 1:
-            cols[:, 1] = ts
-        for k in range(1, degree):
-            cols[:, k + 1] = 2.0 * ts * cols[:, k] - cols[:, k - 1]
-        return cols
+        return np.polynomial.chebyshev.chebvander(ts, degree)
     cols = np.empty((ts.shape[0], degree + 1))
     for k in range(degree + 1):
         cols[:, k] = (

@@ -95,7 +95,7 @@ def write_system(f, path):
         fh.write("\n")
 
 
-def report_to_dict(report):
+def report_to_dict(report, cond_estimate):
     out = {
         "zeros": [
             {
@@ -116,7 +116,7 @@ def report_to_dict(report):
             {"x": p.center[0], "y": p.center[1], "half_width": p.half_width}
             for p in report.unresolved
         ],
-        "cond_estimate": report.cond_estimate,
+        "cond_estimate": cond_estimate,
     }
     return out
 
@@ -146,8 +146,7 @@ def _cmd_solve(args):
     if args.basis:
         system = convert(system, Basis(args.basis))
     report = kts_solve(system, cfg)
-    if args.cond:
-        report.cond_estimate = condition_estimate(system, report.zeros)
+    cond = condition_estimate(system, report.zeros) if args.cond else None
 
     print(f"basis: {system.basis.value}, degrees ({system.degree_u}, {system.degree_v})")
     print(
@@ -165,14 +164,14 @@ def _cmd_solve(args):
             f"rho*={z.rho_star:.6g} omega*={z.omega_star:.6g} "
             f"newton_iters={z.newton_iterations}"
         )
-    if report.cond_estimate is not None:
-        print(f"condition estimate (real zeros only): {report.cond_estimate:.6g}")
+    if cond is not None:
+        print(f"condition estimate (real zeros only): {cond:.6g}")
     if report.unresolved:
         print(f"unresolved patches: {len(report.unresolved)}", file=sys.stderr)
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report_to_dict(report), fh, indent=2)
+                json.dump(report_to_dict(report, cond), fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

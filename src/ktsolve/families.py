@@ -22,24 +22,12 @@ from .basis import (
     convert_uni,
 )
 from .bounding import bounding_interval
-from .solver import SolverConfig, condition_estimate, kts_solve
+from .solver import condition_estimate, kts_solve
 
 FAMILY_TAGS = ("rand", "sin", "sin-L", "sinw", "sinw-L")
 _FAMILY_DEGREE = 6
 _EXACT_TOL = 1e-9
 _SCAN_POINTS = 2001
-
-
-@dataclass
-class ExperimentFamily:
-    """One named family of random scalar test functions."""
-
-    tag: str
-    degree: int = _FAMILY_DEGREE
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family {self.tag!r}, expected one of {FAMILY_TAGS}")
 
 
 def generate_family(family, count, seed):
@@ -50,9 +38,10 @@ def generate_family(family, count, seed):
     tags interpolate at 7 evenly spaced points; -L tags least-squares
     fit at 13.
     """
-    fam = family if isinstance(family, ExperimentFamily) else ExperimentFamily(family)
-    deg = fam.degree
-    rng = np.random.default_rng([int(seed), FAMILY_TAGS.index(fam.tag)])
+    if family not in FAMILY_TAGS:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_TAGS}")
+    deg = _FAMILY_DEGREE
+    rng = np.random.default_rng([int(seed), FAMILY_TAGS.index(family)])
     interp_x = np.linspace(-1.0, 1.0, deg + 1)
     ls_x = np.linspace(-1.0, 1.0, 2 * deg + 1)
     interp_a = basis_matrix(Basis.CHEBYSHEV, deg, interp_x)
@@ -60,12 +49,12 @@ def generate_family(family, count, seed):
 
     out = []
     for _ in range(count):
-        if fam.tag == "rand":
+        if family == "rand":
             coeffs = np.linalg.solve(interp_a, rng.standard_normal(deg + 1))
         else:
             a, b = rng.standard_normal(2)
-            freq = 6.0 * a if fam.tag.startswith("sinw") else a
-            if fam.tag.endswith("-L"):
+            freq = 6.0 * a if family.startswith("sinw") else a
+            if family.endswith("-L"):
                 ys = np.sin(freq * ls_x + b)
                 coeffs = np.linalg.lstsq(ls_a, ys, rcond=None)[0]
             else:
@@ -128,14 +117,13 @@ class BenchResult:
     reports: dict = field(repr=False)
 
 
-def bench_systems(count, min_degree, max_degree, seed, config=None):
+def bench_systems(count, min_degree, max_degree, seed):
     """Random Chebyshev systems solved in all three bases.
 
     System i uses seed + i: degree drawn uniformly from
     [min_degree, max_degree] (square grids), coefficients standard
     normal. The condition estimate comes from the Chebyshev run.
     """
-    cfg = config or SolverConfig()
     results = []
     for i in range(count):
         system_seed = int(seed) + i
@@ -146,7 +134,7 @@ def bench_systems(count, min_degree, max_degree, seed, config=None):
         )
         reports = {}
         for target in BENCH_BASES:
-            reports[target.value] = kts_solve(convert(f_cheb, target), cfg)
+            reports[target.value] = kts_solve(convert(f_cheb, target))
         cond = condition_estimate(f_cheb, reports[Basis.CHEBYSHEV.value].zeros)
         results.append(
             BenchResult(

@@ -1,11 +1,14 @@
 """Numeric cores shared by evaluation, reparametrization, and the solver.
 
 Each kernel is NumPy array code that works on all columns at once and
-loops in Python over the degree only. The six restriction kernels
-(power_affine_cols, cheb_affine_rows, mat_apply_cols, mat_t_apply_cols,
-bernstein_patch_matrix, zonotope_origin_inside) keep their own names
-even where the body is a single product: perfbench/spans.py wraps these
-functions by name to time the kernel layer under the solver.
+loops in Python over the degree only. perfbench/spans.py wraps six of
+them by name to time the kernel layer under the solver: the five
+restriction kernels (power_affine_cols, cheb_affine_rows,
+mat_apply_cols, mat_t_apply_cols, bernstein_patch_matrix) and the
+enclosure membership test zonotope_origin_inside. mat_apply_cols and
+mat_t_apply_cols are single products that exist only so that perfbench
+can time them; ROADMAP.md plans their removal together with the tracer
+change that stops timing them.
 
 Coefficient layout convention: univariate data is (n+1, K) with columns
 processed independently, which lets bivariate tensor grids pass through

@@ -13,6 +13,7 @@ carries its restricted grid, and subdivide_grid derives the four
 children's grids from it with the fixed per-axis halving_matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,7 @@ def _axis_restrict(basis, cols, center, r):
         lam = kernels.cheb_affine_rows(cols.shape[0] - 1, r, center)
         return kernels.mat_t_apply_cols(lam, cols)
     n = cols.shape[0] - 1
-    binom = np.ones(n + 1)
-    for i in range(1, n + 1):
-        binom[i] = binom[i - 1] * (n - i + 1) / i
+    binom = np.array([math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
     mat = kernels.bernstein_patch_matrix(
         n, center + r, center - r, 1.0 - center - r, 1.0 - center + r
     )

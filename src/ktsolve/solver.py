@@ -100,7 +100,6 @@ class SolveReport:
     kantorovich_passes: int
     skipped_subsumed: int
     unresolved: list = field(default_factory=list)
-    cond_estimate: float = None
 
 
 class _Frame:
@@ -190,8 +189,8 @@ class _Frame:
             m1, n1, _ = p.shape
             partials[k, 0, :, :m1, :n1] = p.transpose(2, 0, 1)
             expo[k, 0, :m1, :n1] = np.add.outer(np.arange(m1), np.arange(n1))
-            back_u[k, 0, :m1, :m1] = conversion_matrix(Basis.POWER, basis, m1 - 1).matrix
-            back_vt[k, 0, :n1, :n1] = conversion_matrix(Basis.POWER, basis, n1 - 1).matrix.T
+            back_u[k, 0, :m1, :m1] = conversion_matrix(Basis.POWER, basis, m1 - 1)
+            back_vt[k, 0, :n1, :n1] = conversion_matrix(Basis.POWER, basis, n1 - 1).T
         return partials, expo, back_u, back_vt
 
     def lipschitz_at(self, jac_inv, center):
@@ -249,15 +248,6 @@ class _Frame:
         t = self.canon(x)
         out = eval_bi(self.value_jacobian_system, t[0], t[1])
         return out[:2], out[2:].reshape(2, 2).T
-
-    def jacobian(self, x):
-        """F'(x) at a unit-square point, from the separate grids of f_u and
-        f_v; condition_estimate reads it, and it is the reference that
-        value_and_jacobian must match."""
-        t = self.canon(x)
-        ju = eval_bi(self.fu, t[0], t[1])
-        jv = eval_bi(self.fv, t[0], t[1])
-        return np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
 
 
 def _elevate(c, k1):
@@ -329,7 +319,7 @@ def _excluded_by_one_component(basis, grid):
     return abs(c_x) > reach_x or abs(c_y) > reach_y
 
 
-def exclusion_test(f, x, *, _frame=None, _grid=None):
+def exclusion_test(f, x, *, _grid=None):
     """True when a coefficient enclosure proves F has no zero on patch x.
 
     _grid, when given, is f's grid already restricted to x. Most excluded
@@ -338,8 +328,7 @@ def exclusion_test(f, x, *, _frame=None, _grid=None):
     Both tests give the same answer wherever the first one decides.
     """
     if _grid is None:
-        fr = _frame or _Frame(f)
-        _grid = reparametrize(f, fr.canon_patch(x)).coeffs
+        _grid = reparametrize(f, _Frame(f).canon_patch(x)).coeffs
     if _excluded_by_one_component(f.basis, _grid):
         return True
     return not contains_origin(bounding_polytope(BivariateSystem(f.basis, _grid)))
@@ -449,6 +438,13 @@ def rho_star(f, zero, *, _frame=None):
     return lo, w_lo
 
 
+def _covered(balls, patch):
+    """Whether one certified ball (center u, center v, radius) holds the
+    whole patch, so the patch can hold no zero but that ball's."""
+    (u0, v0), hw = patch.center, patch.half_width
+    return any(max(abs(u0 - bu), abs(v0 - bv)) + hw <= r for bu, bv, r in balls)
+
+
 def kts_solve(f, config=None):
     """Find all zeros of F in the unit square by certified subdivision."""
     cfg = config or SolverConfig()
@@ -469,18 +465,14 @@ def kts_solve(f, config=None):
         patch, grid = queue.popleft()
         patches_examined += 1
         smallest_width = min(smallest_width, 2.0 * patch.half_width)
-        u0, v0 = patch.center
 
-        if any(
-            max(abs(u0 - bu), abs(v0 - bv)) + patch.half_width <= r
-            for bu, bv, r in balls
-        ):
+        if _covered(balls, patch):
             skipped_subsumed += 1
             if trace:
                 log.debug("patch %s subsumed by certified ball", patch)
             continue
 
-        if exclusion_test(f, patch, _frame=fr, _grid=grid):
+        if exclusion_test(f, patch, _grid=grid):
             exclusion_passes += 1
             if trace:
                 log.debug("patch %s excluded", patch)
@@ -508,10 +500,12 @@ def kts_solve(f, config=None):
                         radius,
                     )
 
-        if patch.half_width / 2.0 < cfg.min_half_width:
-            unresolved.append(patch)
-        else:
+        if patch.half_width / 2.0 >= cfg.min_half_width:
             queue.extend(zip(patch.subdivide(), subdivide_grid(grid, *fr.halving)))
+        elif _covered(balls, patch):  # by a ball certified at this patch
+            skipped_subsumed += 1
+        else:
+            unresolved.append(patch)
 
     if unresolved:
         log.warning(
@@ -534,7 +528,7 @@ def kts_solve(f, config=None):
     )
 
 
-def condition_estimate(f, zeros, *, _frame=None):
+def condition_estimate(f, zeros):
     """Conditioning estimate over the reported zeros (real zeros only).
 
     For each zero, takes the largest of its certified omega_star, the
@@ -544,25 +538,19 @@ def condition_estimate(f, zeros, *, _frame=None):
     """
     if not zeros:
         return None
-    fr = _frame or _Frame(f)
+    fr = _Frame(f)
     ts = fr.canon(np.linspace(0.0, 1.0, GRID_DENSITY))
-    gu = eval_bi_grid(fr.fu, ts, ts)
-    gv = eval_bi_grid(fr.fv, ts, ts)
+    # F'(y) at every grid point, (u, v, 2, 2), from the [f, f_u, f_v] grid
+    grid = eval_bi_grid(fr.value_jacobian_system, ts, ts)
+    jac = grid[..., 2:].reshape(GRID_DENSITY, GRID_DENSITY, 2, 2).swapaxes(-1, -2)
     square = Patch((0.5, 0.5), 0.5 + fr.gamma)
 
     worst = 0.0
     for record in zeros:
-        inv = _inv2(fr.jacobian(record.location))
+        inv = _inv2(fr.value_and_jacobian(record.location)[1])
         if inv is None:
             return math.inf
-        # rows of inv @ F'(y) over the whole grid
-        r00 = inv[0, 0] * gu[..., 0] + inv[0, 1] * gu[..., 1]
-        r01 = inv[0, 0] * gv[..., 0] + inv[0, 1] * gv[..., 1]
-        r10 = inv[1, 0] * gu[..., 0] + inv[1, 1] * gu[..., 1]
-        r11 = inv[1, 0] * gv[..., 0] + inv[1, 1] * gv[..., 1]
-        grid_max = float(
-            np.max(np.maximum(np.abs(r00) + np.abs(r01), np.abs(r10) + np.abs(r11)))
-        )
+        grid_max = float(np.max(np.abs(inv @ jac).sum(axis=-1)))
         grid_max = max(1.0, grid_max)  # the zero itself contributes identity
         omega_box = lipschitz_bound(f, inv, square, _frame=fr)
         worst = max(worst, record.omega_star, omega_box, grid_max)

@@ -167,6 +167,16 @@ class TestSolveCommand:
         assert code == EXIT_UNRESOLVED
         assert "unresolved patches" in capsys.readouterr().err
 
+    def test_max_depth_one_certified_root_exits_ok(self, tmp_path, capsys):
+        """At depth 1 the root patch is at the floor, but the ball
+        certified there covers it, so nothing is unresolved."""
+        path = affine_center_file(tmp_path)
+        report = tmp_path / "report.json"
+        argv = ["solve", "--input", str(path), "--basis", "bernstein", "--max-depth", "1"]
+        assert main(argv + ["--report", str(report)]) == EXIT_OK
+        assert "unresolved" not in capsys.readouterr().err
+        assert json.loads(report.read_text())["unresolved"] == []
+
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
         """A NaN in the file is rejected up front, not subdivided to the floor."""
         path = affine_center_file(tmp_path)
@@ -207,8 +217,7 @@ class TestSolveCommand:
         assert "patches examined" not in captured.out
 
     def test_extreme_valid_settings_solve(self, tmp_path, capsys):
-        """The ends of the valid ranges run the solver. Depth 1 stops the
-        root at the floor (exit 2) after it has certified the zero."""
+        """The ends of the valid ranges run the solver."""
         path = affine_center_file(tmp_path)
         for flags in (["--max-depth", "1"], ["--max-depth", "1074"], ["--tol", "1e-300"]):
             code = main(["solve", "--input", str(path)] + flags)

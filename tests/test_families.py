@@ -6,7 +6,6 @@ import pytest
 from ktsolve import Basis, eval_uni
 from ktsolve.families import (
     FAMILY_TAGS,
-    ExperimentFamily,
     bench_systems,
     generate_family,
     interval_comparison,
@@ -49,8 +48,6 @@ class TestGenerateFamily:
                 assert abs(eval_uni(p, t)) <= 1.0 + 1e-9
 
     def test_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            ExperimentFamily("cosine")
         with pytest.raises(ValueError):
             generate_family("cosine", 1, 0)
 

@@ -567,8 +567,10 @@ class TestValueAndJacobian:
                     scale = max(np.max(np.abs(fr.fu.coeffs)), np.max(np.abs(fr.fv.coeffs)))
                     for x in np.concatenate((corners, rng.uniform(-0.25, 1.25, (8, 2)))):
                         val, jac = fr.value_and_jacobian(x)
-                        want_val = eval_bi(f, *fr.canon(x))
-                        want_jac = fr.jacobian(x)
+                        t = fr.canon(x)
+                        want_val = eval_bi(f, *t)
+                        ju, jv = eval_bi(fr.fu, *t), eval_bi(fr.fv, *t)
+                        want_jac = np.array([[ju[0], jv[0]], [ju[1], jv[1]]])
                         assert np.array_equal(val, want_val), (basis, m, n, x)
                         if basis is Basis.BERNSTEIN:
                             err = np.max(np.abs(jac - want_jac))
@@ -837,6 +839,17 @@ class TestKtsSolve:
         report = kts_solve(unit_power_system(grid), SolverConfig(min_half_width=2**-6))
         assert report.unresolved
         assert report.smallest_width <= 2**-5
+
+    def test_floor_patch_inside_certified_ball_is_subsumed(self):
+        """A patch at the width floor is not unresolved when the ball
+        certified at it covers it: here the root patch itself, whose
+        zero is certified with rho* = 4."""
+        for basis in BASES:
+            f = convert(affine_center_root(), basis)
+            report = kts_solve(f, SolverConfig(min_half_width=0.5))
+            assert [z.rho_star for z in report.zeros] == [4.0], basis
+            assert not report.unresolved, basis
+            assert (report.patches_examined, report.skipped_subsumed) == (1, 1), basis
 
 
 class TestConditionEstimate:
