@@ -19,6 +19,11 @@ tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
 d = 2 for maps into the plane. Any d >= 1 is held and evaluated, one
 column per component; the solver stacks a map with its two partials as
 one d = 6 grid so that a single evaluation yields F and F'.
+
+Power and Chebyshev grids are evaluated and differentiated by
+numpy.polynomial (polyval, chebval, polyder, chebder) along the grid's
+leading axes; Bernstein grids by de Casteljau (kernels.decasteljau_cols)
+and scaled forward differences.
 """
 
 import enum
@@ -26,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
+import numpy.polynomial.polynomial as npoly
 
 from . import kernels
 
@@ -115,90 +122,74 @@ class BivariateSystem:
 
 
 _EVAL_COLS = {
-    Basis.POWER: kernels.horner_cols,
+    Basis.POWER: npoly.polyval,
     Basis.BERNSTEIN: kernels.decasteljau_cols,
-    Basis.CHEBYSHEV: kernels.clenshaw_cols,
+    Basis.CHEBYSHEV: ncheb.chebval,
 }
 
 
 def eval_uni(f, t):
     """Value of a univariate polynomial at t; float for d = 1, else (d,)."""
-    out = _EVAL_COLS[f.basis](f.coeffs, t)
+    out = _EVAL_COLS[f.basis](t, f.coeffs)
     return float(out[0]) if f.components == 1 else out
 
 
 def eval_bi(f, u, v):
     """Value of a bivariate grid at (u, v); float for d = 1, else (d,)."""
-    m1, n1, d = f.coeffs.shape
     eval_cols = _EVAL_COLS[f.basis]
-    inner = eval_cols(f.coeffs.reshape(m1, n1 * d), u).reshape(n1, d)
-    out = eval_cols(inner, v)
-    return float(out[0]) if d == 1 else out
+    out = eval_cols(v, eval_cols(u, f.coeffs))
+    return float(out[0]) if f.components == 1 else out
 
 
-def _derivative_cols(basis, c):
-    """Differentiate each column; (n+1, K) -> (max(n,1), K)."""
-    n1, k = c.shape
-    n = n1 - 1
+def _derivative(basis, c, axis):
+    """Differentiate c along axis; that axis shrinks by one, to one row at
+    degree 0 (the zero polynomial)."""
+    n = c.shape[axis] - 1
     if n == 0:
-        return np.zeros((1, k))
+        return np.zeros_like(c)
     if basis is Basis.POWER:
-        return c[1:] * np.arange(1, n1)[:, None]
-    if basis is Basis.BERNSTEIN:
-        return n * (c[1:] - c[:-1])
-    out = np.zeros((n, k))
-    prev2 = np.zeros(k)  # c'_{q+2}
-    prev1 = np.zeros(k)  # c'_{q+1}
-    for q in range(n - 1, -1, -1):
-        cur = prev2 + 2.0 * (q + 1) * c[q + 1]
-        out[q] = cur
-        prev2 = prev1
-        prev1 = cur
-    out[0] /= 2.0
-    return out
+        return npoly.polyder(c, axis=axis)
+    if basis is Basis.CHEBYSHEV:
+        return ncheb.chebder(c, axis=axis)
+    return n * np.diff(c, axis=axis)
 
 
 def derivative_uni(f):
-    return UnivariatePolynomial(f.basis, _derivative_cols(f.basis, f.coeffs))
+    return UnivariatePolynomial(f.basis, _derivative(f.basis, f.coeffs, 0))
 
 
 def derivative_bi(f, axis):
     """Partial derivative along axis 'u' (0) or 'v' (1), same basis."""
-    m1, n1, d = f.coeffs.shape
-    if axis in ("u", 0):
-        cols = _derivative_cols(f.basis, f.coeffs.reshape(m1, n1 * d))
-        return BivariateSystem(f.basis, cols.reshape(-1, n1, d))
-    if axis in ("v", 1):
-        swapped = np.ascontiguousarray(np.swapaxes(f.coeffs, 0, 1))
-        cols = _derivative_cols(f.basis, swapped.reshape(n1, m1 * d))
-        return BivariateSystem(f.basis, np.swapaxes(cols.reshape(-1, m1, d), 0, 1))
-    raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
+    if axis not in ("u", 0, "v", 1):
+        raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
+    return BivariateSystem(f.basis, _derivative(f.basis, f.coeffs, 0 if axis in ("u", 0) else 1))
+
+
+def _power_to_cheb_matrix(n):
+    """Column k holds the Chebyshev coefficients of t^k, k = 0..n.
+
+    Column k + 1 is t times column k, by t*T_0 = T_1 and
+    t*T_i = (T_{i+1} + T_{i-1}) / 2. Every entry is a dyadic rational,
+    so the recurrence is exact.
+    """
+    m = np.zeros((n + 1, n + 1))
+    m[0, 0] = 1.0
+    for k in range(n):
+        d = m[:, k]
+        m[1:, k + 1] = 0.5 * d[:-1]
+        m[:-1, k + 1] += 0.5 * d[1:]
+        m[1, k + 1] += 0.5 * d[0]
+    return m
 
 
 def monomial_to_chebyshev(k):
     """Chebyshev coefficients d_0..d_k of the monomial t^k on [-1, 1].
 
-    Iterates t^(j+1) = t * t^j using t*T_i = (T_{i+1} + T_{|i-1|}) / 2.
     All entries are nonnegative dyadic rationals summing to 1.
     """
     if k < 0:
         raise ValueError("monomial degree must be >= 0")
-    d = np.array([1.0])
-    for _ in range(k):
-        nxt = np.zeros(d.shape[0] + 1)
-        nxt[1] += d[0]
-        for i in range(1, d.shape[0]):
-            nxt[i + 1] += 0.5 * d[i]
-            nxt[i - 1] += 0.5 * d[i]
-        d = nxt
-    return d
-
-
-def _power_to_cheb_matrix(n):
-    u = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        u[k, : k + 1] = monomial_to_chebyshev(k)
-    return u
+    return _power_to_cheb_matrix(k)[:, k]
 
 
 def _cheb_to_power_matrix(n):
@@ -240,7 +231,7 @@ def conversion_matrix(source, target, n):
     if source is target:
         mat = np.eye(n + 1)
     elif (source, target) == (Basis.POWER, Basis.CHEBYSHEV):
-        mat = _power_to_cheb_matrix(n).T
+        mat = _power_to_cheb_matrix(n)
     elif (source, target) == (Basis.CHEBYSHEV, Basis.POWER):
         mat = _cheb_to_power_matrix(n)
     elif (source, target) == (Basis.POWER, Basis.BERNSTEIN):
@@ -282,28 +273,24 @@ def convert(f, target):
 
 
 def bernstein_product(f, g):
-    """Product of two scalar Bernstein polynomials, degree n + n'."""
+    """Product of two scalar Bernstein polynomials, degree n + n'.
+
+    c_i = sum_k C(n, k) C(n', i - k) a_k b_(i-k) / C(n + n', i): one
+    convolution of the binomially scaled coefficient vectors.
+    """
     if f.basis is not Basis.BERNSTEIN or g.basis is not Basis.BERNSTEIN:
         raise ValueError("bernstein_product requires Bernstein-basis inputs")
     if f.components != 1 or g.components != 1:
         raise ValueError("bernstein_product is defined for scalar polynomials")
-    n, np_ = f.degree, g.degree
-    total = n + np_
-    a = f.coeffs[:, 0]
-    b = g.coeffs[:, 0]
-    out = np.zeros(total + 1)
-    for i in range(total + 1):
-        acc = 0.0
-        for k in range(max(0, i - np_), min(n, i) + 1):
-            acc += (
-                math.comb(n, k)
-                * math.comb(np_, i - k)
-                / math.comb(total, i)
-                * a[k]
-                * b[i - k]
-            )
-        out[i] = acc
-    return UnivariatePolynomial(Basis.BERNSTEIN, out)
+    n, n2 = f.degree, g.degree
+    a = f.coeffs[:, 0] * _binomials(n)
+    b = g.coeffs[:, 0] * _binomials(n2)
+    return UnivariatePolynomial(Basis.BERNSTEIN, np.convolve(a, b) / _binomials(n + n2))
+
+
+def _binomials(n):
+    """C(n, k) for k = 0..n as floats."""
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
 
 
 def chebyshev_nodes(n):

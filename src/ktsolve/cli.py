@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .basis import MAX_CONVERT_DEGREE, Basis, BivariateSystem, convert
+from .basis import MAX_CONVERT_DEGREE, Basis, BivariateSystem, DegreeLimitError, convert
 from .families import BENCH_BASES, bench_systems, interval_comparison
 from .solver import SolverConfig, condition_estimate, kts_solve
 
@@ -143,9 +143,13 @@ def _cmd_solve(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.basis:
-        system = convert(system, Basis(args.basis))
-    report = kts_solve(system, cfg)
+    try:
+        if args.basis:
+            system = convert(system, Basis(args.basis))
+        report = kts_solve(system, cfg)
+    except DegreeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     cond = condition_estimate(system, report.zeros) if args.cond else None
 
     print(f"basis: {system.basis.value}, degrees ({system.degree_u}, {system.degree_v})")
@@ -188,6 +192,9 @@ def _fmt(value):
 
 
 def _cmd_bench(args):
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if not 0 <= args.min_degree <= args.max_degree <= MAX_CONVERT_DEGREE:
         print(
             f"error: degrees must satisfy 0 <= --min-degree <= --max-degree <= "
@@ -229,6 +236,9 @@ def _cmd_bench(args):
 
 
 def _cmd_intervals(args):
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     counts = interval_comparison(args.count, args.seed)
     try:
         os.makedirs(args.out, exist_ok=True)

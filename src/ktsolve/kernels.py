@@ -1,11 +1,13 @@
 """Numeric cores shared by evaluation, reparametrization, and the solver.
 
-Each kernel is NumPy array code that works on all columns at once and
-loops in Python over the degree only. perfbench/spans.py wraps six of
-them by name to time the kernel layer under the solver: the five
-restriction kernels (power_affine_cols, cheb_affine_rows,
-mat_apply_cols, mat_t_apply_cols, bernstein_patch_matrix) and the
-enclosure membership test zonotope_origin_inside. mat_apply_cols and
+What numpy.polynomial lacks: de Casteljau evaluation, the Taylor shift,
+the restriction matrices, and the zonotope membership test. Each kernel
+works on all columns at once and loops in Python over the degree only.
+
+perfbench/spans.py wraps six of them by name to time the kernel layer
+under the solver: the five restriction kernels (power_affine_cols,
+cheb_affine_rows, mat_apply_cols, mat_t_apply_cols,
+bernstein_patch_matrix) and zonotope_origin_inside. mat_apply_cols and
 mat_t_apply_cols are single products that exist only so that perfbench
 can time them; ROADMAP.md plans their removal together with the tracer
 change that stops timing them.
@@ -15,19 +17,18 @@ processed independently, which lets bivariate tensor grids pass through
 as reshaped column blocks.
 """
 
+import math
+from functools import cache
+
 import numpy as np
 
 
-def horner_cols(c, t):
-    """Evaluate power-basis columns at scalar t."""
-    acc = c[-1].copy()
-    for i in range(c.shape[0] - 2, -1, -1):
-        acc = acc * t + c[i]
-    return acc
+def decasteljau_cols(t, c):
+    """Evaluate Bernstein-basis columns at scalar t (stable outside [0,1] too).
 
-
-def decasteljau_cols(c, t):
-    """Evaluate Bernstein-basis columns at scalar t (stable outside [0,1] too)."""
+    Takes numpy.polynomial's (x, c) order: c's first axis is the degree,
+    any further axes enumerate independent polynomials.
+    """
     n1 = c.shape[0]
     work = c.copy()
     s = 1.0 - t
@@ -36,29 +37,31 @@ def decasteljau_cols(c, t):
     return work[0].copy()
 
 
-def clenshaw_cols(c, t):
-    """Evaluate Chebyshev-basis columns at scalar t."""
-    two_t = 2.0 * t
-    b1 = np.zeros(c.shape[1])
-    b2 = np.zeros(c.shape[1])
-    for i in range(c.shape[0] - 1, 0, -1):
-        b1, b2 = two_t * b1 - b2 + c[i], b1
-    return t * b1 - b2 + c[0]
+@cache
+def _shift_tables(n1):
+    """binom[k, p] = C(p, k) and gap[k, p] = max(p - k, 0), for k, p < n1."""
+    binom = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
+    idx = np.arange(n1)
+    return binom, np.maximum(idx - idx[:, None], 0).astype(np.float64)
+
+
+def taylor_shift(n1, t0):
+    """Matrix S with S[k, p] = C(p, k) t0^(p - k): column p holds the power
+    coefficients of (t0 + tau)^p in tau, for p < n1."""
+    binom, gap = _shift_tables(n1)
+    return binom * t0**gap
 
 
 def power_affine_cols(c, a, b):
     """Coefficients of p(a*t + b) for each power-basis column of c.
 
-    Synthetic-division composition: exact for the affine argument, O(n^2)
-    per column.
+    The Taylor shift to b, then row k scaled by a^k. For the dyadic
+    (a, b) the package passes (the root (1, 0), the halves (1/2, +-1/2)
+    and the conversions (2, -1) and (1/2, 1/2)) every entry of
+    taylor_shift is exact, so on the identity the result is exact.
     """
     n1 = c.shape[0]
-    out = np.zeros(c.shape)
-    out[0] = c[-1]
-    for deg, i in enumerate(range(n1 - 2, -1, -1)):
-        out[1 : deg + 2] = a * out[: deg + 1] + b * out[1 : deg + 2]
-        out[0] = b * out[0] + c[i]
-    return out
+    return (a ** np.arange(n1))[:, None] * (taylor_shift(n1, b) @ c)
 
 
 def cheb_affine_rows(n, a, b):

@@ -13,13 +13,12 @@ carries its restricted grid, and subdivide_grid derives the four
 children's grids from it with the fixed per-axis halving_matrices.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .basis import Basis, BivariateSystem
+from .basis import Basis, BivariateSystem, _binomials
 
 _DOMAIN_SLACK = 1e-12
 
@@ -59,7 +58,7 @@ def _axis_restrict(basis, cols, center, r):
         lam = kernels.cheb_affine_rows(cols.shape[0] - 1, r, center)
         return kernels.mat_t_apply_cols(lam, cols)
     n = cols.shape[0] - 1
-    binom = np.array([math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
+    binom = _binomials(n)
     mat = kernels.bernstein_patch_matrix(
         n, center + r, center - r, 1.0 - center - r, 1.0 - center + r
     )

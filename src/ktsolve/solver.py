@@ -28,13 +28,15 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .basis import (
+    MAX_CONVERT_DEGREE,
     Basis,
     BivariateSystem,
+    DegreeLimitError,
     conversion_matrix,
     convert,
     derivative_bi,
@@ -42,6 +44,7 @@ from .basis import (
     eval_bi_grid,
 )
 from .bounding import bounding_interval_bi, bounding_polytope, contains_origin, gamma, theta
+from .kernels import taylor_shift
 from .reparam import Patch, halving_matrices, reparametrize, subdivide_grid
 
 log = logging.getLogger("ktsolve.solver")
@@ -122,6 +125,11 @@ class _Frame:
             raise ValueError(f"the solver needs a 2-component system, got {f.components}")
         if not np.all(np.isfinite(f.coeffs)):
             raise ValueError("system coefficients must be finite")
+        if max(f.degree_u, f.degree_v) > MAX_CONVERT_DEGREE:
+            raise DegreeLimitError(
+                f"the solver supports degree <= {MAX_CONVERT_DEGREE}, "
+                f"got ({f.degree_u}, {f.degree_v})"
+            )
         self.f = f
         lo, hi = f.basis.domain
         self.lo = lo
@@ -228,7 +236,8 @@ class _Frame:
 
         f_u and f_v lose a degree along their own axis. Power and
         Chebyshev pad it back with a zero leading coefficient, which
-        leaves Horner and Clenshaw bit-identical; a zero Bernstein
+        leaves numpy's polyval and chebval bit-identical (chebval can at
+        most flip the sign of a zero result); a zero Bernstein
         coefficient would change the polynomial, so Bernstein
         degree-elevates instead.
         """
@@ -265,21 +274,6 @@ def _elevate(c, k1):
     out[1:] = w[1:] * c
     out[:-1] += (1.0 - w[:-1]) * c
     return out
-
-
-@cache
-def _shift_tables(n1):
-    """binom[k, p] = C(p, k) and gap[k, p] = max(p - k, 0), for k, p < n1."""
-    binom = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
-    idx = np.arange(n1)
-    return binom, np.maximum(idx - idx[:, None], 0).astype(np.float64)
-
-
-def taylor_shift(n1, t0):
-    """Matrix S with S[k, p] = C(p, k) t0^(p - k): column p holds the power
-    coefficients of (t0 + tau)^p in tau, for p < n1."""
-    binom, gap = _shift_tables(n1)
-    return binom * t0**gap
 
 
 def _inv2(j):

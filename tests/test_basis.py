@@ -22,7 +22,7 @@ from ktsolve import (
     eval_uni,
     monomial_to_chebyshev,
 )
-from ktsolve.basis import basis_matrix, eval_bi_grid
+from ktsolve.basis import MAX_CONVERT_DEGREE, basis_matrix, conversion_matrix, eval_bi_grid
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 
@@ -182,11 +182,23 @@ class TestMonomialToChebyshev:
             assert abs(np.sum(row) - 1.0) < 1e-12
 
     def test_matches_numpy_poly2cheb(self):
-        for k in range(11):
+        """Exact: every entry is a dyadic rational."""
+        for k in range(MAX_CONVERT_DEGREE + 1):
             mono = np.zeros(k + 1)
             mono[k] = 1.0
-            expected = npcheb.poly2cheb(mono)
-            assert np.allclose(monomial_to_chebyshev(k), expected, atol=1e-13)
+            assert np.array_equal(monomial_to_chebyshev(k), npcheb.poly2cheb(mono)), k
+
+    def test_chebyshev_to_power_matches_numpy_cheb2poly(self):
+        """Column k of the Chebyshev -> power matrix is T_k's monomial
+        expansion, exactly."""
+        for n in range(MAX_CONVERT_DEGREE + 1):
+            mat = conversion_matrix(Basis.CHEBYSHEV, Basis.POWER, n)
+            for k in range(n + 1):
+                t_k = np.zeros(n + 1)
+                t_k[k] = 1.0
+                want = np.zeros(n + 1)
+                want[: k + 1] = npcheb.cheb2poly(t_k)
+                assert np.array_equal(mat[:, k], want), (n, k)
 
 
 class TestConvert:
@@ -264,6 +276,26 @@ class TestBernsteinProduct:
             for t in ts:
                 expected = eval_uni(a, t) * eval_uni(b, t)
                 assert abs(eval_uni(prod, t) - expected) < 1e-11
+
+    def test_matches_definition(self):
+        """Against the double sum over C(n, k) C(n', i - k) / C(n + n', i)."""
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            a = rng.standard_normal(rng.integers(1, 8))
+            b = rng.standard_normal(rng.integers(1, 8))
+            n, n2 = len(a) - 1, len(b) - 1
+            want = [
+                sum(
+                    math.comb(n, k) * math.comb(n2, i - k) / math.comb(n + n2, i) * a[k] * b[i - k]
+                    for k in range(max(0, i - n2), min(n, i) + 1)
+                )
+                for i in range(n + n2 + 1)
+            ]
+            prod = bernstein_product(
+                UnivariatePolynomial(Basis.BERNSTEIN, a), UnivariatePolynomial(Basis.BERNSTEIN, b)
+            )
+            scale = np.max(np.abs(a)) * np.max(np.abs(b))
+            assert np.max(np.abs(prod.coeffs[:, 0] - want)) <= 4e-15 * scale
 
     def test_coefficient_bound(self):
         """Product coefficients never exceed the product of coefficient maxima."""

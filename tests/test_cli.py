@@ -188,6 +188,22 @@ class TestSolveCommand:
         assert code == EXIT_INPUT_ERROR
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis, m", [("power", 21), ("chebyshev", 22)])
+    def test_degree_above_limit_is_input_error(self, tmp_path, capsys, basis, m):
+        """Above the degree limit the solve stops with one error line, also
+        when the root patch would be excluded; --basis conversion too."""
+        grid = np.zeros((m + 1, 2, 2))
+        grid[0, 0] = (3.0, -3.0)
+        grid[m, 1] = (1.0, 1.0)
+        path = tmp_path / "high.json"
+        write_system(BivariateSystem(Basis(basis), grid), path)
+        for extra in ([], ["--basis", "bernstein"]):
+            code = main(["solve", "--input", str(path)] + extra)
+            assert code == EXIT_INPUT_ERROR, extra
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "degree <= 20" in captured.err
+            assert "patches examined" not in captured.out
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "absent.json")])
         assert code == EXIT_INPUT_ERROR
@@ -263,6 +279,17 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_negative_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--count", "-3", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_count_writes_header_only(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--count", "0", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1
+
     def test_degree_zero_range(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         argv = ["bench", "--count", "2", "--min-degree", "0", "--max-degree", "0"]
@@ -293,6 +320,17 @@ class TestIntervalsCommand:
         for line in tighter[1:]:
             _, bt, ct, ties = line.split(",")
             assert int(bt) + int(ct) + int(ties) == 20
+
+    def test_negative_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        assert main(["intervals", "--count", "-3", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_count_is_valid(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        assert main(["intervals", "--count", "0", "--out", str(out)]) == EXIT_OK
+        assert (out / "tighter.csv").read_text().splitlines()[1] == "rand,0,0,0"
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a"

@@ -28,11 +28,10 @@ from ktsolve import (
     newton,
     rho_star,
 )
-from ktsolve.basis import derivative_bi, eval_bi
-from ktsolve import kernels
+from ktsolve.basis import MAX_CONVERT_DEGREE, DegreeLimitError, derivative_bi, eval_bi
 from ktsolve.bounding import bounding_interval_bi, bounding_polytope, contains_origin
 from ktsolve.reparam import reparametrize
-from ktsolve.solver import _excluded_by_one_component, _Frame, taylor_shift
+from ktsolve.solver import _excluded_by_one_component, _Frame
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 FULL = Patch((0.5, 0.5), 0.5)
@@ -413,16 +412,6 @@ class TestLipschitz:
                 lipschitz_bound(random_system(rng, basis, m, n), np.eye(2), Patch((0.1, 0.2), 0.3))
                 assert len(calls) == 1, (basis, m, n)
                 assert calls[0][:2] == (3, 2)
-
-    def test_closed_form_shift_matches_synthetic_division(self):
-        """C(p, k) t0^(p-k) equals the Taylor shift power_affine_cols builds."""
-        rng = np.random.default_rng(85)
-        for n in range(21):
-            for t0 in np.concatenate(([0.0, -3.0, 3.0, 1.0, -1.0], rng.uniform(-3.0, 3.0, 10))):
-                got = taylor_shift(n + 1, t0)
-                want = kernels.power_affine_cols(np.eye(n + 1), 1.0, t0)
-                scale = np.max(np.abs(want), axis=0)
-                assert np.all(np.abs(got - want) <= 1e-14 * scale), (n, t0)
 
     def test_dominates_sampled_quotients(self):
         """Bound is above every sampled difference quotient of jac_inv F',
@@ -850,6 +839,29 @@ class TestKtsSolve:
             assert [z.rho_star for z in report.zeros] == [4.0], basis
             assert not report.unresolved, basis
             assert (report.patches_examined, report.skipped_subsumed) == (1, 1), basis
+
+    def test_degree_above_limit_fails_before_any_patch(self):
+        """Above MAX_CONVERT_DEGREE the solve stops up front, even when the
+        root patch would be excluded and no conversion would ever run."""
+        for basis in BASES:
+            for m in (MAX_CONVERT_DEGREE + 1, MAX_CONVERT_DEGREE + 2):
+                grid = np.zeros((m + 1, 2, 2))
+                grid[0, 0] = (3.0, -3.0)  # power and Chebyshev exclude the root
+                grid[m, 1] = (1.0, 1.0)
+                with pytest.raises(DegreeLimitError):
+                    kts_solve(BivariateSystem(basis, grid))
+                with pytest.raises(DegreeLimitError):
+                    kts_solve(BivariateSystem(basis, grid.swapaxes(0, 1)))
+
+    def test_degree_at_limit_solves(self):
+        """u + 1e-3 T_20(u) = 0, v = 0 has one zero near the centre."""
+        grid = np.zeros((MAX_CONVERT_DEGREE + 1, 2, 2))
+        grid[1, 0] = (1.0, 0.0)
+        grid[0, 1] = (0.0, 1.0)
+        grid[MAX_CONVERT_DEGREE, 0] = (1e-3, 0.0)
+        report = kts_solve(BivariateSystem(Basis.CHEBYSHEV, grid))
+        assert len(report.zeros) == 1 and not report.unresolved
+        assert np.allclose(report.zeros[0].location, 0.5, atol=1e-3)
 
 
 class TestConditionEstimate:
