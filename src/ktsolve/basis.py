@@ -28,7 +28,9 @@ and scaled forward differences.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -219,15 +221,32 @@ def _bernstein_to_unit_power_matrix(n):
     return m
 
 
+def _check_degree(n):
+    """n as an int; ValueError unless it is an integer >= 0 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 def conversion_matrix(source, target, n):
     """Change-of-basis matrix M for degree n, target_coeffs = M @
     source_coeffs, composing the affine map between the two canonical
-    intervals where they differ."""
+    intervals where they differ.
+
+    Built once per (source, target, n) per process: every caller gets the
+    same read-only array, so copy it before writing to it.
+    """
     source, target = Basis(source), Basis(target)
+    n = _check_degree(n)
     if n > MAX_CONVERT_DEGREE:
         raise DegreeLimitError(
             f"conversion supports degree <= {MAX_CONVERT_DEGREE}, got {n}"
         )
+    return _conversion_matrix(source, target, n)
+
+
+@cache
+def _conversion_matrix(source, target, n):
     if source is target:
         mat = np.eye(n + 1)
     elif (source, target) == (Basis.POWER, Basis.CHEBYSHEV):
@@ -243,9 +262,10 @@ def conversion_matrix(source, target, n):
         mat = unshift @ _bernstein_to_unit_power_matrix(n)
     else:
         # Bernstein <-> Chebyshev route through power
-        a = conversion_matrix(source, Basis.POWER, n)
-        b = conversion_matrix(Basis.POWER, target, n)
+        a = _conversion_matrix(source, Basis.POWER, n)
+        b = _conversion_matrix(Basis.POWER, target, n)
         mat = b @ a
+    mat.setflags(write=False)
     return mat
 
 

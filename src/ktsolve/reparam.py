@@ -14,11 +14,12 @@ children's grids from it with the fixed per-axis halving_matrices.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import kernels
-from .basis import Basis, BivariateSystem, _binomials
+from .basis import Basis, BivariateSystem, _binomials, _check_degree
 
 _DOMAIN_SLACK = 1e-12
 
@@ -98,13 +99,22 @@ def halving_matrices(basis, n):
     interval to their lower and upper half, stacked as (2, n+1, n+1).
 
     Each is the restriction of the identity, so H @ cols restricts cols.
+    Built once per (basis, n) per process: every caller gets the same
+    read-only array, so copy it before writing to it.
     """
+    return _halving_matrices(Basis(basis), _check_degree(n))
+
+
+@cache
+def _halving_matrices(basis, n):
     lo, hi = basis.domain
     q = (hi - lo) / 4.0
     eye = np.eye(n + 1)
-    return np.stack(
+    halves = np.stack(
         (_axis_restrict(basis, eye, lo + q, q), _axis_restrict(basis, eye, hi - q, q))
     )
+    halves.setflags(write=False)
+    return halves
 
 
 def subdivide_grid(grid, halve_u, halve_v):

@@ -1,5 +1,6 @@
 """Basis types, evaluation, derivatives, conversion, and node tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,9 +23,16 @@ from ktsolve import (
     eval_uni,
     monomial_to_chebyshev,
 )
-from ktsolve.basis import MAX_CONVERT_DEGREE, basis_matrix, conversion_matrix, eval_bi_grid
+from ktsolve.basis import (
+    MAX_CONVERT_DEGREE,
+    _conversion_matrix,
+    basis_matrix,
+    conversion_matrix,
+    eval_bi_grid,
+)
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
+PAIRS = tuple(itertools.product(BASES, BASES))
 
 
 def bernstein_direct(c, t):
@@ -261,6 +269,50 @@ class TestConvert:
         g = convert(f, Basis.POWER)
         assert g.basis is Basis.POWER
         assert g.coeffs.shape == f.coeffs.shape
+
+
+class TestConversionCache:
+    def test_cached_matrices_equal_cold_builds(self):
+        """For all 9 pairs and every supported degree, a repeat call returns
+        the cached array, and it equals a fresh build bit for bit."""
+        _conversion_matrix.cache_clear()
+        keys = [(s, t, n) for s, t in PAIRS for n in range(MAX_CONVERT_DEGREE + 1)]
+        first = {key: conversion_matrix(*key) for key in keys}
+        info = _conversion_matrix.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        for key in keys:
+            assert conversion_matrix(*key) is first[key], key
+            cold = _conversion_matrix.__wrapped__(*key)
+            assert cold.tobytes() == first[key].tobytes(), key
+
+    def test_result_is_read_only(self):
+        for source, target in PAIRS:
+            mat = conversion_matrix(source, target, 3)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    def test_basis_names_share_one_entry(self):
+        assert conversion_matrix("chebyshev", "bernstein", 6) is conversion_matrix(
+            Basis.CHEBYSHEV, Basis.BERNSTEIN, 6
+        )
+
+    @pytest.mark.parametrize("n", [-1, -5, True, False, 2.0, 2.5, "3", None])
+    def test_bad_degree_raises_before_lookup(self, n):
+        """Every pair rejects a negative or non-integer degree with
+        ValueError, and the cache is not consulted."""
+        before = _conversion_matrix.cache_info()
+        for source, target in PAIRS:
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                conversion_matrix(source, target, n)
+        assert _conversion_matrix.cache_info() == before
+
+    def test_degree_limit_is_not_cached_away(self):
+        before = _conversion_matrix.cache_info()
+        for source, target in PAIRS:
+            for _ in range(2):
+                with pytest.raises(DegreeLimitError):
+                    conversion_matrix(source, target, MAX_CONVERT_DEGREE + 1)
+        assert _conversion_matrix.cache_info() == before
 
 
 class TestBernsteinProduct:

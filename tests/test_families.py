@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ktsolve import Basis, eval_uni
+from ktsolve.basis import _conversion_matrix
 from ktsolve.families import (
     FAMILY_TAGS,
+    IntervalFamilyCounts,
     bench_systems,
     generate_family,
     interval_comparison,
@@ -70,6 +72,21 @@ class TestIntervalComparison:
         results = {c.family: c for c in interval_comparison(200, 0)}
         assert results["rand"].chebyshev_tighter >= 180
         assert results["sin"].bernstein_tighter >= 140
+
+    def test_seed_600_counts_and_one_build_per_matrix(self):
+        """The counts stay as recorded, and one call builds each conversion
+        matrix at most once, however many polynomials it converts."""
+        _conversion_matrix.cache_clear()
+        assert interval_comparison(40, 600) == [
+            IntervalFamilyCounts("rand", 0, 40, 0, 0, 0),
+            IntervalFamilyCounts("sin", 37, 3, 0, 39, 0),
+            IntervalFamilyCounts("sin-L", 39, 1, 0, 37, 1),
+            IntervalFamilyCounts("sinw", 11, 29, 0, 12, 0),
+            IntervalFamilyCounts("sinw-L", 9, 31, 0, 10, 3),
+        ]
+        info = _conversion_matrix.cache_info()
+        assert info.misses == info.currsize <= 3
+        assert info.hits >= 199
 
 
 class TestBenchSystems:

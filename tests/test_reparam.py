@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ktsolve import Basis, BivariateSystem, Patch, eval_bi, reparametrize
+from ktsolve.basis import MAX_CONVERT_DEGREE
 from ktsolve.kernels import cheb_affine_rows
-from ktsolve.reparam import halving_matrices, subdivide_grid
+from ktsolve.reparam import _halving_matrices, halving_matrices, subdivide_grid
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 
@@ -253,3 +254,33 @@ class TestHalving:
                     x = x.subdivide()[k]
                 want = reparametrize(f, canon_patch(basis, x)).coeffs
                 assert np.max(np.abs(grid - want)) <= 1e-13 * f.max_coeff_norm()
+
+    def test_cached_matrices_equal_cold_builds(self):
+        """In each basis and at degrees 0-20, a repeat call returns the
+        cached array, and it equals a fresh build bit for bit."""
+        _halving_matrices.cache_clear()
+        keys = [(basis, n) for basis in BASES for n in range(MAX_CONVERT_DEGREE + 1)]
+        first = {key: halving_matrices(*key) for key in keys}
+        info = _halving_matrices.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        for key in keys:
+            assert halving_matrices(*key) is first[key], key
+            assert _halving_matrices.__wrapped__(*key).tobytes() == first[key].tobytes(), key
+
+    def test_result_is_read_only(self):
+        for basis in BASES:
+            halves = halving_matrices(basis, 3)
+            with pytest.raises(ValueError):
+                halves[0, 0, 0] = 1.0
+
+    def test_basis_name_shares_one_entry(self):
+        for basis in BASES:
+            assert halving_matrices(basis.value, 4) is halving_matrices(basis, 4)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0, 2.5, "3"])
+    def test_bad_degree_raises_before_lookup(self, n):
+        before = _halving_matrices.cache_info()
+        for basis in BASES:
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                halving_matrices(basis, n)
+        assert _halving_matrices.cache_info() == before

@@ -28,9 +28,15 @@ from ktsolve import (
     newton,
     rho_star,
 )
-from ktsolve.basis import MAX_CONVERT_DEGREE, DegreeLimitError, derivative_bi, eval_bi
+from ktsolve.basis import (
+    MAX_CONVERT_DEGREE,
+    DegreeLimitError,
+    _conversion_matrix,
+    derivative_bi,
+    eval_bi,
+)
 from ktsolve.bounding import bounding_interval_bi, bounding_polytope, contains_origin
-from ktsolve.reparam import reparametrize
+from ktsolve.reparam import _halving_matrices, reparametrize
 from ktsolve.solver import _excluded_by_one_component, _Frame
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
@@ -771,6 +777,27 @@ class TestKtsSolve:
             r = kts_solve(convert(protocol_system(600), basis))
             assert r.patches_examined > 1
             assert len(calls) == 1, basis
+
+    def test_warm_matrix_caches_change_no_solve(self):
+        """A solve that builds its conversion and halving matrices and one
+        that finds them cached agree bit for bit."""
+
+        def signature(r):
+            zeros = [
+                (z.location.tobytes(), repr(z.rho_star), repr(z.omega_star), z.newton_iterations)
+                for z in r.zeros
+            ]
+            return report_counters(r), repr(r.smallest_width), r.unresolved, zeros
+
+        for basis in BASES:
+            f = convert(protocol_system(603), basis)
+            _conversion_matrix.cache_clear()
+            _halving_matrices.cache_clear()
+            cold = kts_solve(f)
+            assert _halving_matrices.cache_info().misses > 0, basis
+            warm = kts_solve(f)
+            assert len(cold.zeros) == 3, basis
+            assert signature(warm) == signature(cold), basis
 
     def test_tiny_system_keeps_its_zero(self):
         """Scaling F by 1e-12 changes no decision: the singular-Jacobian
