@@ -11,8 +11,14 @@ canonical interval of its basis*. Conversions between bases therefore
 compose the affine map between canonical intervals, so the converted
 polynomial traces the same function over the corresponding points:
 converting Chebyshev to Bernstein yields g_B with g_B(x) = g_C(2x - 1).
-Power and Chebyshev share [-1, 1], so that pair converts with no domain
-map at all.
+
+Every conversion goes through power form on [-1, 1]: each other basis
+has one leg to it and one leg from it, and a matrix between two
+non-power bases is the product of the two legs. The Chebyshev legs are
+numpy's cheb2poly and poly2cheb, column by column, with no domain map
+since the intervals agree. The Bernstein legs are closed forms on the
+shared binomial table kernels.pascal, composed with the Taylor shift
+(kernels.power_affine_cols) between [-1, 1] and [0, 1].
 
 Univariate coefficients are stored as (n+1, d) arrays and bivariate
 tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
@@ -27,7 +33,6 @@ and scaled forward differences.
 """
 
 import enum
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache
@@ -167,58 +172,47 @@ def derivative_bi(f, axis):
     return BivariateSystem(f.basis, _derivative(f.basis, f.coeffs, 0 if axis in ("u", 0) else 1))
 
 
-def _power_to_cheb_matrix(n):
-    """Column k holds the Chebyshev coefficients of t^k, k = 0..n.
-
-    Column k + 1 is t times column k, by t*T_0 = T_1 and
-    t*T_i = (T_{i+1} + T_{i-1}) / 2. Every entry is a dyadic rational,
-    so the recurrence is exact.
-    """
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = 1.0
-    for k in range(n):
-        d = m[:, k]
-        m[1:, k + 1] = 0.5 * d[:-1]
-        m[:-1, k + 1] += 0.5 * d[1:]
-        m[1, k + 1] += 0.5 * d[0]
-    return m
-
-
 def monomial_to_chebyshev(k):
     """Chebyshev coefficients d_0..d_k of the monomial t^k on [-1, 1].
 
     All entries are nonnegative dyadic rationals summing to 1.
     """
-    if k < 0:
-        raise ValueError("monomial degree must be >= 0")
-    return _power_to_cheb_matrix(k)[:, k]
+    k = _check_degree(k)
+    return ncheb.poly2cheb(np.eye(k + 1)[k])
 
 
-def _cheb_to_power_matrix(n):
-    d = np.zeros((n + 1, n + 1))
-    d[0, 0] = 1.0
-    if n >= 1:
-        d[1, 1] = 1.0
-    for j in range(1, n):
-        d[1:, j + 1] = 2.0 * d[:-1, j]
-        d[:, j + 1] -= d[:, j - 1]
-    return d
-
-
-def _unit_power_to_bernstein_matrix(n):
-    m = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for k in range(i + 1):
-            m[i, k] = math.comb(i, k) / math.comb(n, k)
-    return m
-
-
-def _bernstein_to_unit_power_matrix(n):
-    m = np.zeros((n + 1, n + 1))
+def _unit_columns(convert, n):
+    """Matrix whose column k is convert(e_k), k = 0..n, for a numpy
+    conversion that keeps degree."""
+    mat = np.zeros((n + 1, n + 1))
     for k in range(n + 1):
-        for i in range(k + 1):
-            m[k, i] = (-1.0) ** (k - i) * math.comb(n, i) * math.comb(n - i, k - i)
-    return m
+        mat[: k + 1, k] = convert(np.eye(k + 1)[k])
+    return mat
+
+
+def _to_power(basis, n):
+    """Matrix taking degree-n Chebyshev or Bernstein coefficients to power
+    coefficients on [-1, 1]."""
+    if basis is Basis.CHEBYSHEV:
+        return _unit_columns(ncheb.cheb2poly, n)
+    # x^k coefficient of B_{i,n}(x) on [0, 1]: C(n, k) C(k, i) (-1)^(k - i);
+    # then x = (t + 1) / 2
+    binom = kernels.pascal(n + 1).T
+    sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    unit = binom[n][:, None] * binom * sign
+    return kernels.power_affine_cols(np.eye(n + 1), 0.5, 0.5) @ unit
+
+
+def _from_power(basis, n):
+    """Matrix taking degree-n power coefficients on [-1, 1] to Chebyshev or
+    Bernstein coefficients."""
+    if basis is Basis.CHEBYSHEV:
+        return _unit_columns(ncheb.poly2cheb, n)
+    # t = 2x - 1 onto [0, 1], then x^k = sum_i C(i, k) / C(n, k) B_{i,n}(x)
+    binom = kernels.pascal(n + 1).T
+    # C order: a transposed operand can change the order BLAS sums in
+    unit = np.ascontiguousarray(binom / binom[n])
+    return unit @ kernels.power_affine_cols(np.eye(n + 1), 2.0, -1.0)
 
 
 def _check_degree(n):
@@ -249,22 +243,13 @@ def conversion_matrix(source, target, n):
 def _conversion_matrix(source, target, n):
     if source is target:
         mat = np.eye(n + 1)
-    elif (source, target) == (Basis.POWER, Basis.CHEBYSHEV):
-        mat = _power_to_cheb_matrix(n)
-    elif (source, target) == (Basis.CHEBYSHEV, Basis.POWER):
-        mat = _cheb_to_power_matrix(n)
-    elif (source, target) == (Basis.POWER, Basis.BERNSTEIN):
-        # remap [-1,1] power onto [0,1] (t = 2x - 1), then lift to Bernstein
-        shift = kernels.power_affine_cols(np.eye(n + 1), 2.0, -1.0)
-        mat = _unit_power_to_bernstein_matrix(n) @ shift
-    elif (source, target) == (Basis.BERNSTEIN, Basis.POWER):
-        unshift = kernels.power_affine_cols(np.eye(n + 1), 0.5, 0.5)
-        mat = unshift @ _bernstein_to_unit_power_matrix(n)
+    elif source is Basis.POWER:
+        mat = _from_power(target, n)
+    elif target is Basis.POWER:
+        mat = _to_power(source, n)
     else:
-        # Bernstein <-> Chebyshev route through power
-        a = _conversion_matrix(source, Basis.POWER, n)
-        b = _conversion_matrix(Basis.POWER, target, n)
-        mat = b @ a
+        to_power = _conversion_matrix(source, Basis.POWER, n)
+        mat = _conversion_matrix(Basis.POWER, target, n) @ to_power
     mat.setflags(write=False)
     return mat
 
@@ -303,37 +288,32 @@ def bernstein_product(f, g):
     if f.components != 1 or g.components != 1:
         raise ValueError("bernstein_product is defined for scalar polynomials")
     n, n2 = f.degree, g.degree
-    a = f.coeffs[:, 0] * _binomials(n)
-    b = g.coeffs[:, 0] * _binomials(n2)
-    return UnivariatePolynomial(Basis.BERNSTEIN, np.convolve(a, b) / _binomials(n + n2))
-
-
-def _binomials(n):
-    """C(n, k) for k = 0..n as floats."""
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
+    binom = kernels.pascal(n + n2 + 1)
+    a = f.coeffs[:, 0] * binom[: n + 1, n]
+    b = g.coeffs[:, 0] * binom[: n2 + 1, n2]
+    return UnivariatePolynomial(Basis.BERNSTEIN, np.convolve(a, b) / binom[:, n + n2])
 
 
 def chebyshev_nodes(n):
     """The n Chebyshev points cos((2k-1)pi/(2n)), k = 1..n (descending)."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"node count must be an integer >= 1, got {n!r}")
     k = np.arange(1, n + 1)
     return np.cos((2 * k - 1) * np.pi / (2 * n))
 
 
 def basis_matrix(basis, degree, ts):
     """Design matrix: column k holds basis function k evaluated at ts."""
-    basis = Basis(basis)
+    basis, degree = Basis(basis), _check_degree(degree)
     ts = np.asarray(ts, dtype=np.float64)
     if basis is Basis.POWER:
         return np.vander(ts, degree + 1, increasing=True)
     if basis is Basis.CHEBYSHEV:
         return np.polynomial.chebyshev.chebvander(ts, degree)
+    binom = kernels.pascal(degree + 1)[:, degree]
     cols = np.empty((ts.shape[0], degree + 1))
     for k in range(degree + 1):
-        cols[:, k] = (
-            math.comb(degree, k) * ts**k * (1.0 - ts) ** (degree - k)
-        )
+        cols[:, k] = binom[k] * ts**k * (1.0 - ts) ** (degree - k)
     return cols
 
 

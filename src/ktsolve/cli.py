@@ -191,9 +191,16 @@ def _fmt(value):
     return str(value)
 
 
+def _negative_option(args, *names):
+    """Print an error line for the first named option below zero, if any."""
+    bad = next((name for name in names if getattr(args, name) < 0), None)
+    if bad:
+        print(f"error: --{bad} must be >= 0, got {getattr(args, bad)}", file=sys.stderr)
+    return bad is not None
+
+
 def _cmd_bench(args):
-    if args.count < 0:
-        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+    if _negative_option(args, "count", "seed"):
         return EXIT_INPUT_ERROR
     if not 0 <= args.min_degree <= args.max_degree <= MAX_CONVERT_DEGREE:
         print(
@@ -236,8 +243,7 @@ def _cmd_bench(args):
 
 
 def _cmd_intervals(args):
-    if args.count < 0:
-        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+    if _negative_option(args, "count", "seed"):
         return EXIT_INPUT_ERROR
     counts = interval_comparison(args.count, args.seed)
     try:

@@ -3,6 +3,7 @@
 What numpy.polynomial lacks: de Casteljau evaluation, the Taylor shift,
 the restriction matrices, and the zonotope membership test. Each kernel
 works on all columns at once and loops in Python over the degree only.
+pascal is the package's one binomial table.
 
 perfbench/spans.py wraps six of them by name to time the kernel layer
 under the solver: the five restriction kernels (power_affine_cols,
@@ -38,18 +39,26 @@ def decasteljau_cols(t, c):
 
 
 @cache
-def _shift_tables(n1):
-    """binom[k, p] = C(p, k) and gap[k, p] = max(p - k, 0), for k, p < n1."""
-    binom = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
+def pascal(n1):
+    """Read-only table P[k, p] = C(p, k) for k, p < n1 (column p is row p of
+    Pascal's triangle), built once per size. Read by the Taylor shift, the
+    Bernstein conversion legs, Bernstein restriction and bernstein_product."""
+    table = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@cache
+def _gaps(n1):
+    """gap[k, p] = max(p - k, 0), for k, p < n1."""
     idx = np.arange(n1)
-    return binom, np.maximum(idx - idx[:, None], 0).astype(np.float64)
+    return np.maximum(idx - idx[:, None], 0).astype(np.float64)
 
 
 def taylor_shift(n1, t0):
     """Matrix S with S[k, p] = C(p, k) t0^(p - k): column p holds the power
     coefficients of (t0 + tau)^p in tau, for p < n1."""
-    binom, gap = _shift_tables(n1)
-    return binom * t0**gap
+    return pascal(n1) * t0 ** _gaps(n1)
 
 
 def power_affine_cols(c, a, b):

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from . import kernels
-from .basis import Basis, BivariateSystem, _binomials, _check_degree
+from .basis import Basis, BivariateSystem, _check_degree
 
 _DOMAIN_SLACK = 1e-12
 
@@ -59,7 +59,7 @@ def _axis_restrict(basis, cols, center, r):
         lam = kernels.cheb_affine_rows(cols.shape[0] - 1, r, center)
         return kernels.mat_t_apply_cols(lam, cols)
     n = cols.shape[0] - 1
-    binom = _binomials(n)
+    binom = kernels.pascal(n + 1)[:, n]
     mat = kernels.bernstein_patch_matrix(
         n, center + r, center - r, 1.0 - center - r, 1.0 - center + r
     )

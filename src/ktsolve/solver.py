@@ -115,9 +115,9 @@ class _Frame:
     and differentiation is linear, so that scaling is exact, and every
     Jacobian, inverse and Lipschitz constant built from them is in the
     unit frame with no further factor. Built once per system and read at
-    every patch: the halving matrices, the grid [f, f_u, f_v] that
-    value_and_jacobian evaluates in one eval_bi call, and the power-form
-    second partials behind lipschitz_at.
+    every patch: the grid [f, f_u, f_v] that value_and_jacobian evaluates
+    in one eval_bi call, and the power-form second partials behind
+    lipschitz_at.
     """
 
     def __init__(self, f):
@@ -144,12 +144,6 @@ class _Frame:
 
     def canon_patch(self, x):
         return Patch(tuple(self.canon(x.center)), self.s * x.half_width)
-
-    @cached_property
-    def halving(self):
-        """Per-axis halving matrices of the system's grid (see subdivide_grid)."""
-        f = self.f
-        return halving_matrices(f.basis, f.degree_u), halving_matrices(f.basis, f.degree_v)
 
     def _partial(self, g, axis):
         """Partial of g's unit-square map along axis, as a grid in g's basis."""
@@ -443,6 +437,8 @@ def kts_solve(f, config=None):
     """Find all zeros of F in the unit square by certified subdivision."""
     cfg = config or SolverConfig()
     fr = _Frame(f)
+    halve_u = halving_matrices(f.basis, f.degree_u)
+    halve_v = halving_matrices(f.basis, f.degree_v)
     root = Patch((0.5, 0.5), 0.5)
     queue = deque([(root, reparametrize(f, fr.canon_patch(root)).coeffs)])
     balls = []  # (center u, center v, radius) as floats, in discovery order
@@ -495,7 +491,7 @@ def kts_solve(f, config=None):
                     )
 
         if patch.half_width / 2.0 >= cfg.min_half_width:
-            queue.extend(zip(patch.subdivide(), subdivide_grid(grid, *fr.halving)))
+            queue.extend(zip(patch.subdivide(), subdivide_grid(grid, halve_u, halve_v)))
         elif _covered(balls, patch):  # by a ball certified at this patch
             skipped_subsumed += 1
         else:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -33,6 +34,32 @@ from ktsolve.basis import (
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 PAIRS = tuple(itertools.product(BASES, BASES))
+
+
+def exact_chebyshev_to_power(n):
+    """Column k holds T_k's monomial coefficients, from the recurrence
+    T_(k+1) = 2t T_k - T_(k-1) in exact integers."""
+    cols = [[1] + [0] * n, [0, 1] + [0] * (n - 1)]
+    for _ in range(n - 1):
+        cols.append([2 * a - b for a, b in zip([0] + cols[-1][:-1], cols[-2])])
+    return np.array(cols[: n + 1], dtype=np.float64).T
+
+
+def exact_power_to_chebyshev(n):
+    """Column k holds t^k's Chebyshev coefficients, from t T_0 = T_1 and
+    t T_i = (T_(i+1) + T_(i-1)) / 2 in exact fractions."""
+    half = Fraction(1, 2)
+    cols = [[Fraction(1)] + [Fraction(0)] * n]
+    for _ in range(n):
+        nxt = [Fraction(0)] * (n + 1)
+        for i, c in enumerate(cols[-1][:n]):  # t^k, k < n, has no T_n term
+            if i == 0:
+                nxt[1] += c
+            else:
+                nxt[i + 1] += half * c
+                nxt[i - 1] += half * c
+        cols.append(nxt)
+    return np.array([[float(c) for c in col] for col in cols], dtype=np.float64).T
 
 
 def bernstein_direct(c, t):
@@ -82,6 +109,12 @@ class TestEvaluation:
             bv = basis_matrix(basis, 2, np.array([v]))[0]
             expected = np.einsum("i,ijd,j->d", bu, c, bv)
             assert np.max(np.abs(eval_bi(f, u, v) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("degree", [-1, 2.0, True, "3"])
+    def test_basis_matrix_rejects_bad_degree(self, degree):
+        for basis in BASES:
+            with pytest.raises(ValueError):
+                basis_matrix(basis, degree, np.array([0.5]))
 
     def test_any_component_count(self):
         """A grid holds any d >= 1 components, each evaluated on its own."""
@@ -189,24 +222,25 @@ class TestMonomialToChebyshev:
             assert np.min(row) >= -1e-15
             assert abs(np.sum(row) - 1.0) < 1e-12
 
-    def test_matches_numpy_poly2cheb(self):
-        """Exact: every entry is a dyadic rational."""
-        for k in range(MAX_CONVERT_DEGREE + 1):
-            mono = np.zeros(k + 1)
-            mono[k] = 1.0
-            assert np.array_equal(monomial_to_chebyshev(k), npcheb.poly2cheb(mono)), k
+    def test_power_to_chebyshev_matches_exact_recurrence(self):
+        """Exact: every entry is a dyadic rational, so float64 holds it."""
+        for n in range(MAX_CONVERT_DEGREE + 1):
+            want = exact_power_to_chebyshev(n)
+            got = conversion_matrix(Basis.POWER, Basis.CHEBYSHEV, n)
+            assert np.array_equal(got, want), n
+            assert np.array_equal(monomial_to_chebyshev(n), want[:, n]), n
 
-    def test_chebyshev_to_power_matches_numpy_cheb2poly(self):
+    def test_chebyshev_to_power_matches_exact_recurrence(self):
         """Column k of the Chebyshev -> power matrix is T_k's monomial
         expansion, exactly."""
         for n in range(MAX_CONVERT_DEGREE + 1):
-            mat = conversion_matrix(Basis.CHEBYSHEV, Basis.POWER, n)
-            for k in range(n + 1):
-                t_k = np.zeros(n + 1)
-                t_k[k] = 1.0
-                want = np.zeros(n + 1)
-                want[: k + 1] = npcheb.cheb2poly(t_k)
-                assert np.array_equal(mat[:, k], want), (n, k)
+            want = exact_chebyshev_to_power(n)
+            assert np.array_equal(conversion_matrix(Basis.CHEBYSHEV, Basis.POWER, n), want), n
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, -1, "3", None])
+    def test_rejects_bad_degree(self, k):
+        with pytest.raises(ValueError):
+            monomial_to_chebyshev(k)
 
 
 class TestConvert:
@@ -269,6 +303,20 @@ class TestConvert:
         g = convert(f, Basis.POWER)
         assert g.basis is Basis.POWER
         assert g.coeffs.shape == f.coeffs.shape
+
+
+class TestConversionRoute:
+    def test_every_conversion_goes_through_power_form(self):
+        """Each matrix is the product of its two legs through power form
+        on [-1, 1], bit for bit (a leg is itself when power is one side)."""
+        for source, target in PAIRS:
+            if source is target:
+                continue
+            for n in range(MAX_CONVERT_DEGREE + 1):
+                to_power = conversion_matrix(source, Basis.POWER, n)
+                legs = conversion_matrix(Basis.POWER, target, n) @ to_power
+                mat = conversion_matrix(source, target, n)
+                assert np.array_equal(mat, legs), (source, target, n)
 
 
 class TestConversionCache:
@@ -374,6 +422,12 @@ class TestChebyshevNodes:
             assert nodes.shape == (n,)
             assert np.all(np.diff(nodes) < 0)
             assert np.all(np.abs(nodes) < 1.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "3", None])
+    def test_rejects_bad_count(self, n):
+        """The count must be an integer >= 1; nothing is rounded."""
+        with pytest.raises(ValueError):
+            chebyshev_nodes(n)
 
     def test_nodes_are_roots(self):
         """T_n vanishes at all its returned nodes."""

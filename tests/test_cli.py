@@ -285,6 +285,15 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        """Caught before NumPy's default_rng can raise on it."""
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--count", "1", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_count_writes_header_only(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--count", "0", "--out", str(out)]) == EXIT_OK
@@ -325,6 +334,15 @@ class TestIntervalsCommand:
         out = tmp_path / "study"
         assert main(["intervals", "--count", "-3", "--out", str(out)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        """Caught before NumPy's default_rng can raise on it."""
+        out = tmp_path / "study"
+        code = main(["intervals", "--count", "1", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_count_is_valid(self, tmp_path, capsys):
