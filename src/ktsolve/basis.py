@@ -13,12 +13,11 @@ polynomial traces the same function over the corresponding points:
 converting Chebyshev to Bernstein yields g_B with g_B(x) = g_C(2x - 1).
 
 Every conversion goes through power form on [-1, 1]: each other basis
-has one leg to it and one leg from it, and a matrix between two
-non-power bases is the product of the two legs. The Chebyshev legs are
-numpy's cheb2poly and poly2cheb, column by column, with no domain map
-since the intervals agree. The Bernstein legs are closed forms on the
-shared binomial table kernels.pascal, composed with the Taylor shift
-(kernels.power_affine_cols) between [-1, 1] and [0, 1].
+has one leg to it and one leg from it, an integer matrix over one integer
+denominator, from binomials and the Chebyshev recurrence. A matrix
+between two non-power bases multiplies its two legs in Python integers.
+Each entry is divided once, int / int, so every conversion matrix is its
+exact rational value correctly rounded to float64.
 
 Univariate coefficients are stored as (n+1, d) arrays and bivariate
 tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
@@ -33,6 +32,7 @@ and scaled forward differences.
 """
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache
@@ -173,46 +173,44 @@ def derivative_bi(f, axis):
 
 
 def monomial_to_chebyshev(k):
-    """Chebyshev coefficients d_0..d_k of the monomial t^k on [-1, 1].
+    """Chebyshev coefficients d_0..d_k of the monomial t^k on [-1, 1]: a copy
+    of column k of conversion_matrix(POWER, CHEBYSHEV, k), so k <= 20.
 
     All entries are nonnegative dyadic rationals summing to 1.
     """
-    k = _check_degree(k)
-    return ncheb.poly2cheb(np.eye(k + 1)[k])
-
-
-def _unit_columns(convert, n):
-    """Matrix whose column k is convert(e_k), k = 0..n, for a numpy
-    conversion that keeps degree."""
-    mat = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        mat[: k + 1, k] = convert(np.eye(k + 1)[k])
-    return mat
+    return conversion_matrix(Basis.POWER, Basis.CHEBYSHEV, k)[:, -1].copy()
 
 
 def _to_power(basis, n):
-    """Matrix taking degree-n Chebyshev or Bernstein coefficients to power
-    coefficients on [-1, 1]."""
-    if basis is Basis.CHEBYSHEV:
-        return _unit_columns(ncheb.cheb2poly, n)
-    # x^k coefficient of B_{i,n}(x) on [0, 1]: C(n, k) C(k, i) (-1)^(k - i);
-    # then x = (t + 1) / 2
-    binom = kernels.pascal(n + 1).T
-    sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    unit = binom[n][:, None] * binom * sign
-    return kernels.power_affine_cols(np.eye(n + 1), 0.5, 0.5) @ unit
+    """Integer matrix A and denominator d: A / d takes degree-n Chebyshev or
+    Bernstein coefficients to power coefficients on [-1, 1]."""
+    if basis is Basis.CHEBYSHEV:  # column k holds T_k: T_(k+1) = 2t T_k - T_(k-1)
+        cols = [[1] + [0] * n, [0, 1] + [0] * (n - 1)]
+        for _ in range(n - 1):
+            cols.append([2 * a - b for a, b in zip([0] + cols[-1], cols[-2])])
+        return list(zip(*cols[: n + 1])), 1
+    # column k: 2^n B_(k,n)((1 + t) / 2) = C(n, k) (1 + t)^k (1 - t)^(n - k)
+    cols = [[math.comb(n, k)] + [0] * n for k in range(n + 1)]
+    for k, col in enumerate(cols):
+        for sign in [1] * k + [-1] * (n - k):
+            col[:] = [a + sign * b for a, b in zip(col, [0] + col)]
+    return list(zip(*cols)), 2**n
 
 
 def _from_power(basis, n):
-    """Matrix taking degree-n power coefficients on [-1, 1] to Chebyshev or
-    Bernstein coefficients."""
-    if basis is Basis.CHEBYSHEV:
-        return _unit_columns(ncheb.poly2cheb, n)
-    # t = 2x - 1 onto [0, 1], then x^k = sum_i C(i, k) / C(n, k) B_{i,n}(x)
-    binom = kernels.pascal(n + 1).T
-    # C order: a transposed operand can change the order BLAS sums in
-    unit = np.ascontiguousarray(binom / binom[n])
-    return unit @ kernels.power_affine_cols(np.eye(n + 1), 2.0, -1.0)
+    """Integer matrix A and denominator d: A / d takes degree-n power
+    coefficients on [-1, 1] to Chebyshev or Bernstein coefficients."""
+    mat = [[0] * (n + 1) for _ in range(n + 1)]
+    fact = [math.factorial(j) for j in range(n + 1)]
+    for k in range(n + 1):
+        for j in range(k + 1):
+            if basis is Basis.CHEBYSHEV:  # t^k = 2^-k sum_j C(k, j) T_|k - 2j|
+                mat[abs(k - 2 * j)][k] += math.comb(k, j) * 2 ** (n - k)
+            else:  # t = 2x - 1 and n! x^j = sum_i C(i, j) j! (n - j)! B_(i,n)(x)
+                term = (-1) ** (k - j) * 2**j * math.comb(k, j) * fact[j] * fact[n - j]
+                for i in range(j, n + 1):
+                    mat[i][k] += math.comb(i, j) * term
+    return mat, (2**n if basis is Basis.CHEBYSHEV else fact[n])
 
 
 def _check_degree(n):
@@ -233,9 +231,7 @@ def conversion_matrix(source, target, n):
     source, target = Basis(source), Basis(target)
     n = _check_degree(n)
     if n > MAX_CONVERT_DEGREE:
-        raise DegreeLimitError(
-            f"conversion supports degree <= {MAX_CONVERT_DEGREE}, got {n}"
-        )
+        raise DegreeLimitError(f"conversion supports degree <= {MAX_CONVERT_DEGREE}, got {n}")
     return _conversion_matrix(source, target, n)
 
 
@@ -243,13 +239,14 @@ def conversion_matrix(source, target, n):
 def _conversion_matrix(source, target, n):
     if source is target:
         mat = np.eye(n + 1)
-    elif source is Basis.POWER:
-        mat = _from_power(target, n)
-    elif target is Basis.POWER:
-        mat = _to_power(source, n)
     else:
-        to_power = _conversion_matrix(source, Basis.POWER, n)
-        mat = _conversion_matrix(Basis.POWER, target, n) @ to_power
+        num, den = _to_power(source, n) if target is Basis.POWER else _from_power(target, n)
+        if Basis.POWER not in (source, target):
+            right, right_den = _to_power(source, n)
+            num = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in num]
+            den *= right_den
+        # int / int is correctly rounded: each entry is its exact value rounded once
+        mat = np.array([[a / den for a in row] for row in num])
     mat.setflags(write=False)
     return mat
 

@@ -73,6 +73,8 @@ def contains_origin(p, tol=0.0):
     bounds a cone holding P but not 0. Both signs are tried, one per
     extreme ray, so mirroring the points leaves the answer exactly as is.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if isinstance(p, Zonotope):
         gens = np.concatenate((p.generators, tol * np.eye(2))) if tol else p.generators
         return kernels.zonotope_origin_inside(p.center[0], p.center[1], gens)

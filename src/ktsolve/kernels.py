@@ -3,7 +3,7 @@
 What numpy.polynomial lacks: de Casteljau evaluation, the Taylor shift,
 the restriction matrices, and the zonotope membership test. Each kernel
 works on all columns at once and loops in Python over the degree only.
-pascal is the package's one binomial table.
+pascal is the package's one float binomial table.
 
 perfbench/spans.py wraps six of them by name to time the kernel layer
 under the solver: the five restriction kernels (power_affine_cols,
@@ -41,8 +41,8 @@ def decasteljau_cols(t, c):
 @cache
 def pascal(n1):
     """Read-only table P[k, p] = C(p, k) for k, p < n1 (column p is row p of
-    Pascal's triangle), built once per size. Read by the Taylor shift, the
-    Bernstein conversion legs, Bernstein restriction and bernstein_product."""
+    Pascal's triangle), built once per size. Read by the Taylor shift,
+    Bernstein restriction, basis_matrix and bernstein_product."""
     table = np.array([[math.comb(p, k) for p in range(n1)] for k in range(n1)], dtype=np.float64)
     table.setflags(write=False)
     return table
@@ -65,9 +65,9 @@ def power_affine_cols(c, a, b):
     """Coefficients of p(a*t + b) for each power-basis column of c.
 
     The Taylor shift to b, then row k scaled by a^k. For the dyadic
-    (a, b) the package passes (the root (1, 0), the halves (1/2, +-1/2)
-    and the conversions (2, -1) and (1/2, 1/2)) every entry of
-    taylor_shift is exact, so on the identity the result is exact.
+    (a, b) the package passes (the root (1, 0) and the halves
+    (1/2, +-1/2)) every entry of taylor_shift is exact, so on the
+    identity the result is exact.
     """
     n1 = c.shape[0]
     return (a ** np.arange(n1))[:, None] * (taylor_shift(n1, b) @ c)

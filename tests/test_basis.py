@@ -1,7 +1,9 @@
 """Basis types, evaluation, derivatives, conversion, and node tests."""
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -31,20 +33,47 @@ from ktsolve.basis import (
     conversion_matrix,
     eval_bi_grid,
 )
+from ktsolve.reparam import halving_matrices
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 PAIRS = tuple(itertools.product(BASES, BASES))
 
 
+def fraction_matmul(a, b):
+    """Product of two matrices held as nested lists of Fractions, summed in
+    integers over each factor's common denominator."""
+    scaled = []
+    for mat in (a, b):
+        den = math.lcm(*(x.denominator for row in mat for x in row))
+        scaled.append(([[x.numerator * (den // x.denominator) for x in row] for row in mat], den))
+    (ai, da), (bi, db) = scaled
+    return [[Fraction(sum(map(operator.mul, row, col)), da * db) for col in zip(*bi)] for row in ai]
+
+
+def rounded(mat):
+    """An exact matrix as float64, each entry rounded once."""
+    return np.array([[float(x) for x in row] for row in mat], dtype=np.float64)
+
+
+def exact_shift(n, a, b):
+    """Column p holds the power coefficients of (a t + b)^p, p <= n."""
+    return [
+        [math.comb(p, k) * a**k * b ** (p - k) if k <= p else Fraction(0) for p in range(n + 1)]
+        for k in range(n + 1)
+    ]
+
+
+@functools.cache
 def exact_chebyshev_to_power(n):
     """Column k holds T_k's monomial coefficients, from the recurrence
     T_(k+1) = 2t T_k - T_(k-1) in exact integers."""
     cols = [[1] + [0] * n, [0, 1] + [0] * (n - 1)]
     for _ in range(n - 1):
         cols.append([2 * a - b for a, b in zip([0] + cols[-1][:-1], cols[-2])])
-    return np.array(cols[: n + 1], dtype=np.float64).T
+    return [[Fraction(c) for c in row] for row in zip(*cols[: n + 1])]
 
 
+@functools.cache
 def exact_power_to_chebyshev(n):
     """Column k holds t^k's Chebyshev coefficients, from t T_0 = T_1 and
     t T_i = (T_(i+1) + T_(i-1)) / 2 in exact fractions."""
@@ -59,7 +88,49 @@ def exact_power_to_chebyshev(n):
                 nxt[i + 1] += half * c
                 nxt[i - 1] += half * c
         cols.append(nxt)
-    return np.array([[float(c) for c in col] for col in cols], dtype=np.float64).T
+    return [list(row) for row in zip(*cols)]
+
+
+@functools.cache
+def exact_bernstein_to_power(n):
+    """B_(k,n)(x) = sum_j C(n, j) C(j, k) (-1)^(j - k) x^j in power form on
+    [0, 1], then x = (1 + t) / 2, in exact fractions."""
+    on_unit = [
+        [Fraction(math.comb(n, j) * math.comb(j, k) * (-1) ** (j + k)) for k in range(n + 1)]
+        for j in range(n + 1)
+    ]
+    half = Fraction(1, 2)
+    return fraction_matmul(exact_shift(n, half, half), on_unit)
+
+
+@functools.cache
+def exact_power_to_bernstein(n):
+    """t = 2x - 1, then x^j = sum_i C(i, j) / C(n, j) B_(i,n)(x), in exact
+    fractions."""
+    on_unit = [[Fraction(math.comb(i, j), math.comb(n, j)) for j in range(n + 1)] for i in range(n + 1)]
+    return fraction_matmul(on_unit, exact_shift(n, Fraction(2), Fraction(-1)))
+
+
+EXACT_TO_POWER = {Basis.CHEBYSHEV: exact_chebyshev_to_power, Basis.BERNSTEIN: exact_bernstein_to_power}
+EXACT_FROM_POWER = {Basis.CHEBYSHEV: exact_power_to_chebyshev, Basis.BERNSTEIN: exact_power_to_bernstein}
+
+
+def exact_through_power(basis, n, power_mat):
+    """The exact matrix that acts on degree-n coefficients in basis as
+    power_mat acts on power coefficients on [-1, 1]."""
+    if basis is Basis.POWER:
+        return power_mat
+    return fraction_matmul(EXACT_FROM_POWER[basis](n), fraction_matmul(power_mat, EXACT_TO_POWER[basis](n)))
+
+
+def exact_conversion(source, target, n):
+    """The exact change-of-basis matrix, through power form on [-1, 1]."""
+    mat = exact_shift(n, Fraction(1), Fraction(0))  # the identity
+    if source is not Basis.POWER:
+        mat = EXACT_TO_POWER[source](n)
+    if target is not Basis.POWER:
+        mat = fraction_matmul(EXACT_FROM_POWER[target](n), mat)
+    return mat
 
 
 def bernstein_direct(c, t):
@@ -225,7 +296,7 @@ class TestMonomialToChebyshev:
     def test_power_to_chebyshev_matches_exact_recurrence(self):
         """Exact: every entry is a dyadic rational, so float64 holds it."""
         for n in range(MAX_CONVERT_DEGREE + 1):
-            want = exact_power_to_chebyshev(n)
+            want = rounded(exact_power_to_chebyshev(n))
             got = conversion_matrix(Basis.POWER, Basis.CHEBYSHEV, n)
             assert np.array_equal(got, want), n
             assert np.array_equal(monomial_to_chebyshev(n), want[:, n]), n
@@ -234,8 +305,17 @@ class TestMonomialToChebyshev:
         """Column k of the Chebyshev -> power matrix is T_k's monomial
         expansion, exactly."""
         for n in range(MAX_CONVERT_DEGREE + 1):
-            want = exact_chebyshev_to_power(n)
+            want = rounded(exact_chebyshev_to_power(n))
             assert np.array_equal(conversion_matrix(Basis.CHEBYSHEV, Basis.POWER, n), want), n
+
+    def test_degree_limit_and_fresh_copy(self):
+        """Above degree 20 it raises like every conversion, and the caller
+        owns the row it gets."""
+        with pytest.raises(DegreeLimitError):
+            monomial_to_chebyshev(MAX_CONVERT_DEGREE + 1)
+        row = monomial_to_chebyshev(3)
+        row[0] = 5.0
+        assert monomial_to_chebyshev(3)[0] == 0.0
 
     @pytest.mark.parametrize("k", [True, False, 2.0, -1, "3", None])
     def test_rejects_bad_degree(self, k):
@@ -305,18 +385,26 @@ class TestConvert:
         assert g.coeffs.shape == f.coeffs.shape
 
 
-class TestConversionRoute:
-    def test_every_conversion_goes_through_power_form(self):
-        """Each matrix is the product of its two legs through power form
-        on [-1, 1], bit for bit (a leg is itself when power is one side)."""
+class TestCorrectRounding:
+    def test_every_conversion_is_its_exact_value_rounded_once(self):
+        """All 9 pairs at every supported degree equal the exact rational
+        matrix, built here in fractions, rounded once."""
         for source, target in PAIRS:
-            if source is target:
-                continue
             for n in range(MAX_CONVERT_DEGREE + 1):
-                to_power = conversion_matrix(source, Basis.POWER, n)
-                legs = conversion_matrix(Basis.POWER, target, n) @ to_power
-                mat = conversion_matrix(source, target, n)
-                assert np.array_equal(mat, legs), (source, target, n)
+                want = rounded(exact_conversion(source, target, n))
+                assert np.array_equal(conversion_matrix(source, target, n), want), (source, target, n)
+
+    def test_every_halving_is_its_exact_value_rounded_once(self):
+        """Each half of halving_matrices equals from_power @ H @ to_power
+        exactly, rounded once, where H takes power coefficients on [-1, 1]
+        to those of p(t/2 -+ 1/2)."""
+        half = Fraction(1, 2)
+        for basis in BASES:
+            for n in range(MAX_CONVERT_DEGREE + 1):
+                halves = halving_matrices(basis, n)
+                for side, shift in enumerate((-half, half)):
+                    want = rounded(exact_through_power(basis, n, exact_shift(n, half, shift)))
+                    assert np.array_equal(halves[side], want), (basis, n, side)
 
 
 class TestConversionCache:

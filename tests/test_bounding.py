@@ -97,6 +97,19 @@ class TestContainsOrigin:
         assert contains_origin(Zonotope(np.zeros(2), empty, Basis.POWER), tol=0.0)
         assert not contains_origin(Zonotope(np.array([1e-6, 0.0]), empty, Basis.POWER))
 
+    @pytest.mark.parametrize("tol", [-10.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_tol(self, tol):
+        """A negative or non-finite slack is an error for both kinds, not a
+        box of another size: at tol = -10 this zonotope, which holds no
+        origin at tol = 0, used to read as if tol were +10."""
+        gens = np.array([[1.0, 0.0], [0.0, 1.0]])
+        zono = Zonotope(np.array([2.5, 0.0]), gens, Basis.POWER)
+        hull = ControlHull(np.array([[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]]), Basis.BERNSTEIN)
+        for p in (zono, hull):
+            assert not contains_origin(p, tol=0.0)
+            with pytest.raises(ValueError, match="tol must be finite"):
+                contains_origin(p, tol=tol)
+
     def test_matches_brute_force_zonotope(self):
         """Support criterion agrees with exact sign-enumeration geometry."""
         rng = np.random.default_rng(30)

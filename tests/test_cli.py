@@ -384,3 +384,19 @@ class TestEntryPoint:
         assert "zeros found: 1" in proc.stdout
         assert "INFO ktsolve.solver: zero at" in proc.stderr
         assert "INFO" not in proc.stdout
+
+    def test_import_loads_numpy_alone(self):
+        """A fresh interpreter imports ktsolve without loading fractions,
+        decimal, sympy or scipy: the package runs on NumPy alone, and
+        import time stays free of exact-arithmetic modules."""
+        banned = ("fractions", "decimal", "sympy", "scipy")
+        code = "import sys, ktsolve; print(' '.join(sorted(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root()},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [m for m in proc.stdout.split() if m.split(".")[0] in banned]
+        assert loaded == []
