@@ -12,12 +12,12 @@ compose the affine map between canonical intervals, so the converted
 polynomial traces the same function over the corresponding points:
 converting Chebyshev to Bernstein yields g_B with g_B(x) = g_C(2x - 1).
 
-Every conversion goes through power form on [-1, 1]: each other basis
-has one leg to it and one leg from it, an integer matrix over one integer
-denominator, from binomials and the Chebyshev recurrence. A matrix
-between two non-power bases multiplies its two legs in Python integers.
-Each entry is divided once, int / int, so every conversion matrix is its
-exact rational value correctly rounded to float64.
+Every basis matrix goes through power form on [-1, 1], where each other
+basis has an integer leg to it and one from it. A conversion matrix is
+from_power(target) . to_power(source), and a halving matrix (to one half
+of the canonical interval) is from_power(b) . H . to_power(b), H the
+power-form map t -> (t -+ 1) / 2. Each is multiplied out in Python
+integers and divided once, so it is its exact value rounded once.
 
 Univariate coefficients are stored as (n+1, d) arrays and bivariate
 tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
@@ -34,6 +34,7 @@ and scaled forward differences.
 import enum
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -183,7 +184,9 @@ def monomial_to_chebyshev(k):
 
 def _to_power(basis, n):
     """Integer matrix A and denominator d: A / d takes degree-n Chebyshev or
-    Bernstein coefficients to power coefficients on [-1, 1]."""
+    Bernstein coefficients to power coefficients on [-1, 1]; None for power."""
+    if basis is Basis.POWER:
+        return None
     if basis is Basis.CHEBYSHEV:  # column k holds T_k: T_(k+1) = 2t T_k - T_(k-1)
         cols = [[1] + [0] * n, [0, 1] + [0] * (n - 1)]
         for _ in range(n - 1):
@@ -199,7 +202,9 @@ def _to_power(basis, n):
 
 def _from_power(basis, n):
     """Integer matrix A and denominator d: A / d takes degree-n power
-    coefficients on [-1, 1] to Chebyshev or Bernstein coefficients."""
+    coefficients on [-1, 1] to Chebyshev or Bernstein; None for power."""
+    if basis is Basis.POWER:
+        return None
     mat = [[0] * (n + 1) for _ in range(n + 1)]
     fact = [math.factorial(j) for j in range(n + 1)]
     for k in range(n + 1):
@@ -213,11 +218,44 @@ def _from_power(basis, n):
     return mat, (2**n if basis is Basis.CHEBYSHEV else fact[n])
 
 
-def _check_degree(n):
-    """n as an int; ValueError unless it is an integer >= 0 (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {n!r}")
-    return int(n)
+def _power_halving(n, shift):
+    """Integer matrix A and denominator 2^n: A / 2^n takes degree-n power
+    coefficients to those of p((t + shift) / 2), shift = -1 or 1. The sign
+    of C(p, k) shift^(p - k) comes from parity, so every entry is an int."""
+    return [
+        [math.comb(p, k) * 2 ** (n - p) * (shift if (p - k) % 2 else 1) for p in range(n + 1)]
+        for k in range(n + 1)
+    ], 2**n
+
+
+def _rounded_product(n, *legs):
+    """Read-only float64 product of integer legs (A, d), each A / d, None
+    legs skipped. int / int rounds correctly, so dividing each integer
+    entry once by the product of the d rounds the exact value once."""
+    num, den = None, 1
+    for mat, d in filter(None, legs):
+        cols = list(zip(*mat))
+        num = mat if num is None else [[sum(map(operator.mul, r, c)) for c in cols] for r in num]
+        den *= d
+    out = np.eye(n + 1) if num is None else np.array([[a / den for a in row] for row in num])
+    out.setflags(write=False)
+    return out
+
+
+def _check_int(value, what="degree", least=0):
+    """value as an int; ValueError unless an integer >= least (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _matrix_degree(n):
+    """n as an int, checked before any cache lookup: ValueError unless an
+    integer >= 0, DegreeLimitError above MAX_CONVERT_DEGREE."""
+    n = _check_int(n)
+    if n > MAX_CONVERT_DEGREE:
+        raise DegreeLimitError(f"basis matrices support degree <= {MAX_CONVERT_DEGREE}, got {n}")
+    return n
 
 
 def conversion_matrix(source, target, n):
@@ -228,27 +266,32 @@ def conversion_matrix(source, target, n):
     Built once per (source, target, n) per process: every caller gets the
     same read-only array, so copy it before writing to it.
     """
-    source, target = Basis(source), Basis(target)
-    n = _check_degree(n)
-    if n > MAX_CONVERT_DEGREE:
-        raise DegreeLimitError(f"conversion supports degree <= {MAX_CONVERT_DEGREE}, got {n}")
-    return _conversion_matrix(source, target, n)
+    return _conversion_matrix(Basis(source), Basis(target), _matrix_degree(n))
 
 
 @cache
 def _conversion_matrix(source, target, n):
-    if source is target:
-        mat = np.eye(n + 1)
-    else:
-        num, den = _to_power(source, n) if target is Basis.POWER else _from_power(target, n)
-        if Basis.POWER not in (source, target):
-            right, right_den = _to_power(source, n)
-            num = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in num]
-            den *= right_den
-        # int / int is correctly rounded: each entry is its exact value rounded once
-        mat = np.array([[a / den for a in row] for row in num])
-    mat.setflags(write=False)
-    return mat
+    legs = () if source is target else (_from_power(target, n), _to_power(source, n))
+    return _rounded_product(n, *legs)
+
+
+def halving_matrices(basis, n):
+    """Matrices taking degree-n coefficient columns on the canonical
+    interval to their lower and upper half, stacked as (2, n+1, n+1), so
+    H @ cols restricts cols to that half.
+
+    Built once per (basis, n) per process: every caller gets the same
+    read-only array, so copy it before writing to it.
+    """
+    return _halving_matrices(Basis(basis), _matrix_degree(n))
+
+
+@cache
+def _halving_matrices(basis, n):
+    back, to = _from_power(basis, n), _to_power(basis, n)
+    halves = np.stack([_rounded_product(n, back, _power_halving(n, s), to) for s in (-1, 1)])
+    halves.setflags(write=False)
+    return halves
 
 
 def convert_uni(f, target):
@@ -293,15 +336,13 @@ def bernstein_product(f, g):
 
 def chebyshev_nodes(n):
     """The n Chebyshev points cos((2k-1)pi/(2n)), k = 1..n (descending)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"node count must be an integer >= 1, got {n!r}")
-    k = np.arange(1, n + 1)
+    k = np.arange(1, _check_int(n, "node count", 1) + 1)
     return np.cos((2 * k - 1) * np.pi / (2 * n))
 
 
 def basis_matrix(basis, degree, ts):
     """Design matrix: column k holds basis function k evaluated at ts."""
-    basis, degree = Basis(basis), _check_degree(degree)
+    basis, degree = Basis(basis), _check_int(degree)
     ts = np.asarray(ts, dtype=np.float64)
     if basis is Basis.POWER:
         return np.vander(ts, degree + 1, increasing=True)

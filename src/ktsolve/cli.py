@@ -96,7 +96,7 @@ def write_system(f, path):
 
 
 def report_to_dict(report, cond_estimate):
-    out = {
+    return {
         "zeros": [
             {
                 "x": float(z.location[0]),
@@ -118,7 +118,6 @@ def report_to_dict(report, cond_estimate):
         ],
         "cond_estimate": cond_estimate,
     }
-    return out
 
 
 def _cmd_solve(args):
@@ -215,20 +214,8 @@ def _cmd_bench(args):
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "seed",
-                    "m",
-                    "n",
-                    "cond_estimate",
-                    "power_patches",
-                    "power_width",
-                    "bernstein_patches",
-                    "bernstein_width",
-                    "chebyshev_patches",
-                    "chebyshev_width",
-                ]
-            )
+            per_basis = [f"{b.value}_{k}" for b in BENCH_BASES for k in ("patches", "width")]
+            writer.writerow(["seed", "m", "n", "cond_estimate", *per_basis])
             for res in results:
                 row = [res.seed, res.m, res.n, _fmt(res.cond_estimate)]
                 for b in BENCH_BASES:

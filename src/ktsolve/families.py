@@ -17,6 +17,7 @@ from .basis import (
     Basis,
     BivariateSystem,
     UnivariatePolynomial,
+    _check_int,
     basis_matrix,
     convert,
     convert_uni,
@@ -40,6 +41,7 @@ def generate_family(family, count, seed):
     """
     if family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_TAGS}")
+    count = _check_int(count, "count")
     deg = _FAMILY_DEGREE
     rng = np.random.default_rng([int(seed), FAMILY_TAGS.index(family)])
     interp_x = np.linspace(-1.0, 1.0, deg + 1)
@@ -77,6 +79,7 @@ class IntervalFamilyCounts:
 def interval_comparison(count, seed):
     """Per family: which basis bounds the range tighter, and how often an
     enclosure endpoint matches the true range endpoint to 1e-9."""
+    count = _check_int(count, "count")
     scan_x = np.linspace(-1.0, 1.0, _SCAN_POINTS)
     scan_a = basis_matrix(Basis.CHEBYSHEV, _FAMILY_DEGREE, scan_x)
     results = []
@@ -124,25 +127,15 @@ def bench_systems(count, min_degree, max_degree, seed):
     [min_degree, max_degree] (square grids), coefficients standard
     normal. The condition estimate comes from the Chebyshev run.
     """
+    count = _check_int(count, "count")
     results = []
     for i in range(count):
         system_seed = int(seed) + i
         rng = np.random.default_rng(system_seed)
         k = int(rng.integers(min_degree, max_degree + 1))
-        f_cheb = BivariateSystem(
-            Basis.CHEBYSHEV, rng.standard_normal((k + 1, k + 1, 2))
-        )
-        reports = {}
-        for target in BENCH_BASES:
-            reports[target.value] = kts_solve(convert(f_cheb, target))
+        f_cheb = BivariateSystem(Basis.CHEBYSHEV, rng.standard_normal((k + 1, k + 1, 2)))
+        reports = {target.value: kts_solve(convert(f_cheb, target)) for target in BENCH_BASES}
         cond = condition_estimate(f_cheb, reports[Basis.CHEBYSHEV.value].zeros)
-        results.append(
-            BenchResult(
-                seed=system_seed,
-                m=k,
-                n=k,
-                cond_estimate=cond,
-                reports=reports,
-            )
-        )
+        result = BenchResult(seed=system_seed, m=k, n=k, cond_estimate=cond, reports=reports)
+        results.append(result)
     return results

@@ -5,13 +5,13 @@ the restriction matrices, and the zonotope membership test. Each kernel
 works on all columns at once and loops in Python over the degree only.
 pascal is the package's one float binomial table.
 
-perfbench/spans.py wraps six of them by name to time the kernel layer
-under the solver: the five restriction kernels (power_affine_cols,
-cheb_affine_rows, mat_apply_cols, mat_t_apply_cols,
-bernstein_patch_matrix) and zonotope_origin_inside. mat_apply_cols and
-mat_t_apply_cols are single products that exist only so that perfbench
-can time them; ROADMAP.md plans their removal together with the tracer
-change that stops timing them.
+The five restriction kernels (power_affine_cols, cheb_affine_rows,
+mat_apply_cols, mat_t_apply_cols, bernstein_patch_matrix) serve
+reparam.reparametrize; the solver reaches them only through its root
+restriction, which is the identity, since basis.py builds the halving
+matrices from exact integer legs. perfbench/spans.py wraps them and
+zonotope_origin_inside by name; mat_apply_cols and mat_t_apply_cols are
+single products that exist only so that perfbench can time them.
 
 Coefficient layout convention: univariate data is (n+1, K) with columns
 processed independently, which lets bivariate tensor grids pass through
@@ -64,10 +64,8 @@ def taylor_shift(n1, t0):
 def power_affine_cols(c, a, b):
     """Coefficients of p(a*t + b) for each power-basis column of c.
 
-    The Taylor shift to b, then row k scaled by a^k. For the dyadic
-    (a, b) the package passes (the root (1, 0) and the halves
-    (1/2, +-1/2)) every entry of taylor_shift is exact, so on the
-    identity the result is exact.
+    The Taylor shift to b, then row k scaled by a^k. For the root's
+    (1, 0) both are exactly the identity, so the result equals c.
     """
     n1 = c.shape[0]
     return (a ** np.arange(n1))[:, None] * (taylor_shift(n1, b) @ c)

@@ -8,35 +8,37 @@ Bernstein. Coefficient-based range enclosures of the restricted grid
 then bound f's range over X, which is what drives the subdivision
 solver's exclusion and convergence tests.
 
-The solver restricts only once, to the whole square. Each of its patches
-carries its restricted grid, and subdivide_grid derives the four
-children's grids from it with the fixed per-axis halving_matrices.
+The solver restricts once, to the whole square, which returns every
+coefficient unchanged in every basis (a -0.0 comes back as 0.0). Each
+patch carries its grid; subdivide_grid derives the children's grids
+from it with basis.halving_matrices.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import kernels
-from .basis import Basis, BivariateSystem, _check_degree
+from .basis import Basis, BivariateSystem
 
 _DOMAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class Patch:
-    """Axis-aligned square: center (u0, v0), half-width r > 0."""
+    """Axis-aligned square: finite center (u0, v0), finite half-width r > 0."""
 
     center: tuple
     half_width: float
 
     def __post_init__(self):
         u0, v0 = self.center
-        object.__setattr__(self, "center", (float(u0), float(v0)))
-        object.__setattr__(self, "half_width", float(self.half_width))
-        if not self.half_width > 0.0:
-            raise ValueError("patch half-width must be positive")
+        u0, v0, r = float(u0), float(v0), float(self.half_width)
+        object.__setattr__(self, "center", (u0, v0))
+        object.__setattr__(self, "half_width", r)
+        if not (0.0 < r < math.inf and math.isfinite(u0) and math.isfinite(v0)):
+            raise ValueError(f"patch needs a finite center and half-width > 0, got {self}")
 
     def bounds(self):
         (u0, v0), r = self.center, self.half_width
@@ -63,7 +65,8 @@ def _axis_restrict(basis, cols, center, r):
     mat = kernels.bernstein_patch_matrix(
         n, center + r, center - r, 1.0 - center - r, 1.0 - center + r
     )
-    return kernels.mat_apply_cols(mat, cols * binom[:, None]) / binom[:, None]
+    # C(n, i) / C(n, k) folded in: on the whole interval mat is the identity
+    return kernels.mat_apply_cols(mat * binom / binom[:, None], cols)
 
 
 def reparametrize(f, x, allow_outside=False):
@@ -75,17 +78,12 @@ def reparametrize(f, x, allow_outside=False):
     """
     lo, hi = f.basis.domain
     ulo, uhi, vlo, vhi = x.bounds()
-    if not allow_outside:
-        if (
-            ulo < lo - _DOMAIN_SLACK
-            or vlo < lo - _DOMAIN_SLACK
-            or uhi > hi + _DOMAIN_SLACK
-            or vhi > hi + _DOMAIN_SLACK
-        ):
-            raise ValueError(
-                f"patch {x} leaves the canonical square [{lo}, {hi}]^2; "
-                "pass allow_outside=True to restrict anyway"
-            )
+    inside = lo - _DOMAIN_SLACK <= min(ulo, vlo) and max(uhi, vhi) <= hi + _DOMAIN_SLACK
+    if not (inside or allow_outside):
+        raise ValueError(
+            f"patch {x} leaves the canonical square [{lo}, {hi}]^2; "
+            "pass allow_outside=True to restrict anyway"
+        )
     m1, n1, d = f.coeffs.shape
     (u0, v0), r = x.center, x.half_width
     cols = _axis_restrict(f.basis, f.coeffs.reshape(m1, n1 * d), u0, r)
@@ -94,33 +92,10 @@ def reparametrize(f, x, allow_outside=False):
     return BivariateSystem(f.basis, np.swapaxes(cols.reshape(n1, m1, d), 0, 1))
 
 
-def halving_matrices(basis, n):
-    """Matrices taking degree-n coefficient columns on the canonical
-    interval to their lower and upper half, stacked as (2, n+1, n+1).
-
-    Each is the restriction of the identity, so H @ cols restricts cols.
-    Built once per (basis, n) per process: every caller gets the same
-    read-only array, so copy it before writing to it.
-    """
-    return _halving_matrices(Basis(basis), _check_degree(n))
-
-
-@cache
-def _halving_matrices(basis, n):
-    lo, hi = basis.domain
-    q = (hi - lo) / 4.0
-    eye = np.eye(n + 1)
-    halves = np.stack(
-        (_axis_restrict(basis, eye, lo + q, q), _axis_restrict(basis, eye, hi - q, q))
-    )
-    halves.setflags(write=False)
-    return halves
-
-
 def subdivide_grid(grid, halve_u, halve_v):
     """Restrictions of a grid (m+1, n+1, d) to the four half-width squares
     of its square, stacked in Patch.subdivide order (-,-), (-,+), (+,-),
-    (+,+), given each axis' halving_matrices.
+    (+,+), given each axis' basis.halving_matrices.
     """
     m1, n1, d = grid.shape
     halves = (halve_u @ grid.reshape(m1, n1 * d)).reshape(2, 1, m1, n1, d)

@@ -17,11 +17,12 @@ discarded because a coefficient enclosure proves F cannot vanish on it,
 or certified because an affine-invariant Kantorovich test proves Newton
 iteration from its center converges to a unique nearby zero, or split
 into four half-size patches. Each queued patch carries the system's grid
-restricted to it: the system is restricted once, to the whole square,
-and a split derives the four children's grids from their parent's with
-fixed per-axis halving matrices. Certified zeros carry a radius rho_star
-within which they are the only zero, which both deduplicates rediscovery
-and lets later patches be skipped wholesale.
+restricted to it. The one restriction, to the whole square, returns the
+input grid (it is kept so that a traced solve reaches the restriction
+layer); a split derives the four children's grids from their parent's
+with the exact per-axis basis.halving_matrices. Certified zeros carry a
+radius rho_star within which they are the only zero, which both
+deduplicates rediscovery and lets later patches be skipped wholesale.
 """
 
 import logging
@@ -42,10 +43,11 @@ from .basis import (
     derivative_bi,
     eval_bi,
     eval_bi_grid,
+    halving_matrices,
 )
 from .bounding import bounding_interval_bi, bounding_polytope, contains_origin, gamma, theta
 from .kernels import taylor_shift
-from .reparam import Patch, halving_matrices, reparametrize, subdivide_grid
+from .reparam import Patch, reparametrize, subdivide_grid
 
 log = logging.getLogger("ktsolve.solver")
 

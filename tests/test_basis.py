@@ -29,11 +29,12 @@ from ktsolve import (
 from ktsolve.basis import (
     MAX_CONVERT_DEGREE,
     _conversion_matrix,
+    _halving_matrices,
     basis_matrix,
     conversion_matrix,
     eval_bi_grid,
+    halving_matrices,
 )
-from ktsolve.reparam import halving_matrices
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 PAIRS = tuple(itertools.product(BASES, BASES))
@@ -449,6 +450,46 @@ class TestConversionCache:
                 with pytest.raises(DegreeLimitError):
                     conversion_matrix(source, target, MAX_CONVERT_DEGREE + 1)
         assert _conversion_matrix.cache_info() == before
+
+
+class TestHalvingCache:
+    def test_cached_matrices_equal_cold_builds(self):
+        """In each basis and at degrees 0-20, a repeat call returns the
+        cached array, and it equals a fresh build bit for bit."""
+        _halving_matrices.cache_clear()
+        keys = [(basis, n) for basis in BASES for n in range(MAX_CONVERT_DEGREE + 1)]
+        first = {key: halving_matrices(*key) for key in keys}
+        info = _halving_matrices.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        for key in keys:
+            assert halving_matrices(*key) is first[key], key
+            assert _halving_matrices.__wrapped__(*key).tobytes() == first[key].tobytes(), key
+
+    def test_result_is_read_only(self):
+        for basis in BASES:
+            halves = halving_matrices(basis, 3)
+            with pytest.raises(ValueError):
+                halves[0, 0, 0] = 1.0
+
+    def test_basis_name_shares_one_entry(self):
+        for basis in BASES:
+            assert halving_matrices(basis.value, 4) is halving_matrices(basis, 4)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0, 2.5, "3"])
+    def test_bad_degree_raises_before_lookup(self, n):
+        before = _halving_matrices.cache_info()
+        for basis in BASES:
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                halving_matrices(basis, n)
+        assert _halving_matrices.cache_info() == before
+
+    def test_degree_limit_is_not_cached_away(self):
+        before = _halving_matrices.cache_info()
+        for basis in BASES:
+            for _ in range(2):
+                with pytest.raises(DegreeLimitError):
+                    halving_matrices(basis, MAX_CONVERT_DEGREE + 1)
+        assert _halving_matrices.cache_info() == before
 
 
 class TestBernsteinProduct:

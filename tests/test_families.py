@@ -123,3 +123,31 @@ class TestBenchSystems:
                 assert len(za) == len(zb)
                 for x, y in zip(za, zb):
                     assert x.location.tobytes() == y.location.tobytes()
+
+
+BAD_COUNTS = [-3, -1, True, False, 2.0, 2.5, "3", None]
+
+
+class TestCountCheck:
+    """Each entry point takes an integer count >= 0 (not a bool), and zero
+    draws nothing."""
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_generate_family(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            generate_family("rand", count, 0)
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_interval_comparison(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            interval_comparison(count, 0)
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_bench_systems(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            bench_systems(count, 2, 3, 0)
+
+    def test_zero_count_is_empty(self):
+        assert generate_family("rand", np.int64(0), 0) == []
+        assert all(vars(c)[k] == 0 for c in interval_comparison(0, 0) for k in vars(c) if k != "family")
+        assert bench_systems(0, 2, 3, 0) == []

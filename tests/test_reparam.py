@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ktsolve import Basis, BivariateSystem, Patch, eval_bi, reparametrize
-from ktsolve.basis import MAX_CONVERT_DEGREE
+from ktsolve.basis import halving_matrices
 from ktsolve.kernels import cheb_affine_rows
-from ktsolve.reparam import _halving_matrices, halving_matrices, subdivide_grid
+from ktsolve.reparam import subdivide_grid
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
 
@@ -50,6 +50,22 @@ class TestPatch:
             (0.75, 0.75),
         ]
         assert all(k.half_width == 0.25 for k in kids)
+
+    @pytest.mark.parametrize(
+        "center, half_width",
+        [
+            ((np.nan, 0.5), 0.1),
+            ((0.5, np.inf), 0.1),
+            ((-np.inf, 0.5), 0.1),
+            ((0.0, 0.0), np.inf),
+            ((0.0, 0.0), np.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, center, half_width):
+        """A NaN passes every comparison-based domain check and an infinite
+        width restricts to NaN and inf entries, so neither is a patch."""
+        with pytest.raises(ValueError, match="finite"):
+            Patch(center, half_width)
 
     def test_hashable_and_frozen(self):
         x = Patch((0.5, 0.5), 0.5)
@@ -117,6 +133,19 @@ class TestReparametrize:
                 x = Patch((0.0, 0.0), 1.0)
             g = reparametrize(f, x)
             assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
+
+    def test_whole_square_returns_input_bit_for_bit(self):
+        """Restricting onto the whole canonical square is the identity in
+        every basis, with no rounding, at 1-20 rows and 1-21 columns."""
+        rng = np.random.default_rng(63)
+        for basis in BASES:
+            lo, hi = basis.domain
+            whole = Patch(((lo + hi) / 2, (lo + hi) / 2), (hi - lo) / 2)
+            for m1 in range(1, 21):
+                for n1 in range(1, 22):
+                    f = BivariateSystem(basis, rng.standard_normal((m1, n1, 2)))
+                    g = reparametrize(f, whole)
+                    assert g.coeffs.tobytes() == f.coeffs.tobytes(), (basis, m1, n1)
 
     def test_power_linear_leg(self):
         """f(u,v)=u restricted to center 0.5, r=0.25 becomes 0.5 + 0.25*u."""
@@ -254,33 +283,3 @@ class TestHalving:
                     x = x.subdivide()[k]
                 want = reparametrize(f, canon_patch(basis, x)).coeffs
                 assert np.max(np.abs(grid - want)) <= 1e-13 * f.max_coeff_norm()
-
-    def test_cached_matrices_equal_cold_builds(self):
-        """In each basis and at degrees 0-20, a repeat call returns the
-        cached array, and it equals a fresh build bit for bit."""
-        _halving_matrices.cache_clear()
-        keys = [(basis, n) for basis in BASES for n in range(MAX_CONVERT_DEGREE + 1)]
-        first = {key: halving_matrices(*key) for key in keys}
-        info = _halving_matrices.cache_info()
-        assert info.misses == info.currsize == len(keys)
-        for key in keys:
-            assert halving_matrices(*key) is first[key], key
-            assert _halving_matrices.__wrapped__(*key).tobytes() == first[key].tobytes(), key
-
-    def test_result_is_read_only(self):
-        for basis in BASES:
-            halves = halving_matrices(basis, 3)
-            with pytest.raises(ValueError):
-                halves[0, 0, 0] = 1.0
-
-    def test_basis_name_shares_one_entry(self):
-        for basis in BASES:
-            assert halving_matrices(basis.value, 4) is halving_matrices(basis, 4)
-
-    @pytest.mark.parametrize("n", [-1, True, 2.0, 2.5, "3"])
-    def test_bad_degree_raises_before_lookup(self, n):
-        before = _halving_matrices.cache_info()
-        for basis in BASES:
-            with pytest.raises(ValueError, match="degree must be an integer"):
-                halving_matrices(basis, n)
-        assert _halving_matrices.cache_info() == before

@@ -32,11 +32,12 @@ from ktsolve.basis import (
     MAX_CONVERT_DEGREE,
     DegreeLimitError,
     _conversion_matrix,
+    _halving_matrices,
     derivative_bi,
     eval_bi,
 )
 from ktsolve.bounding import bounding_interval_bi, bounding_polytope, contains_origin
-from ktsolve.reparam import _halving_matrices, reparametrize
+from ktsolve.reparam import reparametrize
 from ktsolve.solver import _excluded_by_one_component, _Frame
 
 BASES = (Basis.POWER, Basis.BERNSTEIN, Basis.CHEBYSHEV)
@@ -762,7 +763,10 @@ class TestKtsSolve:
             assert (cond, certs) == PROTOCOL_CERTIFICATES[seed, basis], (seed, basis)
 
     def test_restricts_once_per_solve(self, monkeypatch):
-        """Patches carry their grids down, so only the root is restricted."""
+        """Patches carry their grids down, so only the root is restricted.
+        That one call is the identity in every basis (the whole canonical
+        square); it is kept so that a traced solve still reaches the
+        restriction layer."""
         import ktsolve.solver
 
         calls = []
