@@ -52,6 +52,7 @@ from .reparam import Patch, reparametrize, subdivide_grid
 log = logging.getLogger("ktsolve.solver")
 
 _SINGULAR_REL = 1e-14
+_CAP_REL = 1e-6
 _REPORT_SLACK = 1e-9
 _RHO_REL_WIDTH = 1e-6
 RHO_CAP = 4.0
@@ -81,6 +82,23 @@ class SolverConfig:
 
 @dataclass
 class KantorovichOutcome:
+    """The verdict of kantorovich_test and the numbers it rests on.
+
+    passed: eta * omega <= 1/4 and ball_in_dprime.
+    eta: max-norm of the first Newton step J^-1 F(x0) from the centre x0.
+    omega: Lipschitz bound of y -> J^-1 F'(y) over the gamma-enlarged
+        patch. For a failure decided at the centre it is omega_0, the same
+        row sum at x0 alone: a lower bound on the enclosure bound that
+        already gives eta * omega > 1/4.
+    rho_minus: the Kantorovich radius (1 - sqrt(1 - 2 eta omega)) / omega;
+        eta when omega = 0, inf when eta * omega > 1/2.
+    ball_in_dprime: the ball of radius rho_minus about x0 lies in the
+        gamma-enlarged unit square.
+
+    rho_minus and ball_in_dprime follow from the omega reported. A
+    singular Jacobian gives eta = omega = rho_minus = inf and fails.
+    """
+
     passed: bool
     eta: float
     omega: float
@@ -119,7 +137,7 @@ class _Frame:
     unit frame with no further factor. Built once per system and read at
     every patch: the grid [f, f_u, f_v] that value_and_jacobian evaluates
     in one eval_bi call, and the power-form second partials behind
-    lipschitz_at.
+    lipschitz_at and curvature_at.
     """
 
     def __init__(self, f):
@@ -226,6 +244,22 @@ class _Frame:
 
         return bound
 
+    def curvature_at(self, jac_inv, center):
+        """omega_0: |a_uu| + 2|a_uv| + |a_vv| of a = jac_inv F'' at a
+        unit-square point, maximised over the rows of jac_inv.
+
+        The same row sum lipschitz_at encloses over a ball, taken at its
+        centre, so no ball's bound is below it (in exact arithmetic). One
+        product with the powers of t0 = 2x - 1 per axis evaluates the
+        three power-form partials, and jac_inv mixes their components.
+        """
+        partials = self.taylor_base[0][:, 0]  # (3 partials, 2 components, M, N)
+        m1, n1 = partials.shape[2:]
+        tu, tv = (2.0 * c - 1.0 for c in center)
+        values = tu ** np.arange(m1) @ partials @ tv ** np.arange(n1)  # (partial, component)
+        rows = (np.asarray(jac_inv) @ values.T).tolist()  # (row of jac_inv, partial)
+        return max(abs(uu) + 2.0 * abs(uv) + abs(vv) for uu, uv, vv in rows)
+
     @cached_property
     def value_jacobian_system(self):
         """[f, f_u, f_v] as one 6-component grid at f's degrees.
@@ -278,8 +312,7 @@ def _inv2(j):
     Singular means |det| <= 1e-14 times the product of the row sums,
     a threshold that scales with the matrix, or a non-finite det.
     """
-    a, b = j[0]
-    c, d = j[1]
+    (a, b), (c, d) = j.tolist()
     det = a * d - b * c
     if not abs(det) > _SINGULAR_REL * (abs(a) + abs(b)) * (abs(c) + abs(d)):
         return None
@@ -324,14 +357,24 @@ def exclusion_test(f, x, *, _grid=None):
     return not contains_origin(bounding_polytope(BivariateSystem(f.basis, _grid)))
 
 
-def lipschitz_bound(f, jac_inv, ball, *, _frame=None):
+def lipschitz_bound(f, jac_inv, ball, *, _frame=None, _cap=math.inf):
     """Bound on the Lipschitz constant of y -> jac_inv @ F'(y) over a
     square ball, from coefficient enclosures of the second partials.
 
     Everything here is in the unit-square frame: the ball, the Jacobian
     inverse (of F'), and the returned constant.
+
+    _cap, when finite, lets a caller that only asks whether the bound
+    exceeds it skip the enclosure: the same row sum at the ball's centre,
+    omega_0, is computed first, and when omega_0 > _cap it is returned,
+    a value above _cap that is at most the bound. Otherwise the result
+    is the enclosure bound, as with no cap.
     """
     fr = _frame or _Frame(f)
+    if _cap < math.inf:
+        omega0 = fr.curvature_at(jac_inv, ball.center)
+        if omega0 > _cap:
+            return omega0
     return fr.lipschitz_at(jac_inv, ball.center)(ball.half_width)
 
 
@@ -341,17 +384,23 @@ def kantorovich_test(f, x, *, _frame=None):
     Passes when eta * omega <= 1/4 and the certified ball around the
     center stays inside the gamma-enlarged unit square, where eta bounds
     the first Newton step and omega the Jacobian's relative Lipschitz
-    constant over the enlarged patch.
+    constant over the enlarged patch. lipschitz_bound is capped at
+    (1 + _CAP_REL) / (4 eta): when the curvature at the centre alone
+    already exceeds that, the test fails with omega = omega_0 and no
+    enclosure is built. That exit only ever fails a test, so it
+    certifies nothing; the relative margin keeps it off patches that the
+    enclosure bound would pass up to rounding.
     """
     fr = _frame or _Frame(f)
-    x0 = np.asarray(x.center, dtype=np.float64)
-    val, jac = fr.value_and_jacobian(x0)
+    u0, v0 = x.center
+    val, jac = fr.value_and_jacobian(x.center)
     inv = _inv2(jac)
     if inv is None:
         return KantorovichOutcome(False, math.inf, math.inf, math.inf, False)
     eta = float(np.max(np.abs(inv @ val)))
+    cap = (1.0 + _CAP_REL) / (4.0 * eta) if eta > 0.0 else math.inf
     ball = Patch(x.center, 2.0 * fr.gamma * x.half_width)
-    omega = lipschitz_bound(f, inv, ball, _frame=fr)
+    omega = lipschitz_bound(f, inv, ball, _frame=fr, _cap=cap)
     h = eta * omega
     if omega == 0.0:
         rho_minus = eta
@@ -359,8 +408,8 @@ def kantorovich_test(f, x, *, _frame=None):
         rho_minus = (1.0 - math.sqrt(1.0 - 2.0 * h)) / omega
     else:
         rho_minus = math.inf
-    inside = bool(
-        x0.min() - rho_minus >= -fr.gamma and x0.max() + rho_minus <= 1.0 + fr.gamma
+    inside = (
+        min(u0, v0) - rho_minus >= -fr.gamma and max(u0, v0) + rho_minus <= 1.0 + fr.gamma
     )
     return KantorovichOutcome(h <= 0.25 and inside, eta, omega, rho_minus, inside)
 

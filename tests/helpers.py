@@ -7,7 +7,7 @@ import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
 import ktsolve
-from ktsolve import Basis, BivariateSystem, kernels
+from ktsolve import Basis, BivariateSystem, kernels, solver
 from ktsolve.basis import eval_bi, eval_bi_grid
 
 ORACLE_NEWTON_STEPS = 50
@@ -189,6 +189,24 @@ def reference_zeros(f, grid_n=201, dedup=1e-6, slack=1e-9):
         if all(np.max(np.abs(x - np.asarray(z))) > dedup for z in found):
             found.append((float(x[0]), float(x[1])))
     return sorted(found)
+
+
+def kantorovich_patches(f):
+    """Every patch kts_solve(f) hands to kantorovich_test, in the order it
+    does, recorded by wrapping the solver's binding for that one solve."""
+    patches = []
+    test = solver.kantorovich_test
+
+    def recording(g, x, **kwargs):
+        patches.append(x)
+        return test(g, x, **kwargs)
+
+    solver.kantorovich_test = recording
+    try:
+        solver.kts_solve(f)
+    finally:
+        solver.kantorovich_test = test
+    return patches
 
 
 def sorted_zero_locations(report):

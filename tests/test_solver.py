@@ -1,18 +1,21 @@
 """Exclusion, Kantorovich, Newton, certification, and the full solve loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from helpers import (
     eval_map,
     eval_map_grid,
+    kantorovich_patches,
     protocol_system,
     random_system,
     reference_zeros,
     sorted_zero_locations,
     unit_power_system,
 )
+from test_tracing import near_coincident_system
 
 from ktsolve import (
     Basis,
@@ -420,6 +423,72 @@ class TestLipschitz:
                 assert len(calls) == 1, (basis, m, n)
                 assert calls[0][:2] == (3, 2)
 
+    def test_centre_curvature_is_below_the_bound(self):
+        """omega_0, the row sum at the ball's centre, is at most the
+        enclosure bound over the ball and is that bound's limit as the
+        ball shrinks, for random jac_inv and balls at degrees (1, 1) to
+        (4, 4); affine maps give 0 for both."""
+        rng = np.random.default_rng(85)
+        for basis in BASES:
+            for m in range(1, 5):
+                for n in range(1, 5):
+                    f = random_system(rng, basis, m, n)
+                    fr = _Frame(f)
+                    for _ in range(4):
+                        jac_inv = rng.standard_normal((2, 2))
+                        ball = Patch(tuple(rng.uniform(-0.5, 1.5, 2)), rng.uniform(1e-3, 1.0))
+                        omega0 = fr.curvature_at(jac_inv, ball.center)
+                        bound = lipschitz_bound(f, jac_inv, ball, _frame=fr)
+                        assert 0.0 < omega0 <= bound * (1.0 + 1e-12), (basis, m, n)
+                        dot = Patch(ball.center, 1e-12)  # omega_0 is the r -> 0 limit
+                        limit = lipschitz_bound(f, jac_inv, dot, _frame=fr)
+                        assert omega0 == pytest.approx(limit, rel=1e-8), (basis, m, n)
+            if basis is Basis.BERNSTEIN:  # exact corner identity, as in test_affine_is_zero
+                c = rng.integers(-3, 4, (2, 2, 2)).astype(float)
+                c[1, 1] = c[0, 1] + c[1, 0] - c[0, 0]
+            else:
+                c = rng.standard_normal((2, 2, 2))
+                c[1, 1] = 0.0
+            f = BivariateSystem(basis, c)
+            jac_inv = rng.standard_normal((2, 2))
+            ball = Patch((0.3, 0.6), 0.2)
+            assert _Frame(f).curvature_at(jac_inv, ball.center) == 0.0, basis
+            assert lipschitz_bound(f, jac_inv, ball) == 0.0, basis
+
+    def test_cap_contract(self, monkeypatch):
+        """With omega_0 <= _cap the result is the uncapped bound, byte for
+        byte, from one enclosure; with omega_0 > _cap it is omega_0, above
+        the cap, and bounding_interval_bi is not called."""
+        import ktsolve.solver
+
+        calls = []
+
+        def counting(basis, grid):
+            calls.append(np.shape(grid))
+            return bounding_interval_bi(basis, grid)
+
+        monkeypatch.setattr(ktsolve.solver, "bounding_interval_bi", counting)
+        rng = np.random.default_rng(86)
+        for basis in BASES:
+            for m, n in ((1, 1), (2, 3), (4, 4)):
+                f = random_system(rng, basis, m, n)
+                fr = _Frame(f)
+                jac_inv = rng.standard_normal((2, 2))
+                ball = Patch(tuple(rng.uniform(0.0, 1.0, 2)), rng.uniform(0.01, 0.3))
+                uncapped = lipschitz_bound(f, jac_inv, ball, _frame=fr)
+                omega0 = fr.curvature_at(jac_inv, ball.center)
+                assert omega0 > 0.0
+                for cap in (omega0, 2.0 * uncapped, math.inf):
+                    calls.clear()
+                    got = lipschitz_bound(f, jac_inv, ball, _frame=fr, _cap=cap)
+                    assert np.float64(got).tobytes() == np.float64(uncapped).tobytes()
+                    assert len(calls) == 1, (basis, m, n, cap)
+                for cap in (0.5 * omega0, 0.0):
+                    calls.clear()
+                    got = lipschitz_bound(f, jac_inv, ball, _frame=fr, _cap=cap)
+                    assert got > cap and got == omega0, (basis, m, n, cap)
+                    assert not calls, (basis, m, n, cap)
+
     def test_dominates_sampled_quotients(self):
         """Bound is above every sampled difference quotient of jac_inv F',
         F' the Jacobian of the unit-square map."""
@@ -508,6 +577,41 @@ class TestKantorovich:
                 dist = float(np.max(np.abs(loc - np.asarray(patch.center))))
                 assert dist <= out.rho_minus + 1e-9
         assert passes > 10
+
+    def test_centre_exit_never_flips_a_verdict(self, monkeypatch):
+        """Every patch a solve hands to kantorovich_test gets the verdict it
+        gets with an uncapped lipschitz_bound, on protocol systems 600-619
+        and the near-coincident system in every basis. A test not decided
+        at the centre returns the same outcome; one decided there reports
+        omega_0, at most the full bound."""
+        import ktsolve.solver
+
+        def uncapped(f, jac_inv, ball, *, _frame=None, _cap=math.inf):
+            return lipschitz_bound(f, jac_inv, ball, _frame=_frame)
+
+        systems = [protocol_system(seed) for seed in range(600, 620)]
+        cases = []
+        for g in systems + [near_coincident_system()]:
+            for basis in BASES:
+                f = convert(g, basis)
+                fr = _Frame(f)
+                for patch in kantorovich_patches(f):
+                    cases.append((f, fr, patch, kantorovich_test(f, patch, _frame=fr)))
+        monkeypatch.setattr(ktsolve.solver, "lipschitz_bound", uncapped)
+        exits = passes = 0
+        for f, fr, patch, capped in cases:
+            full = kantorovich_test(f, patch, _frame=fr)
+            assert capped.passed == full.passed, (f.basis, patch)
+            assert capped.eta == full.eta
+            if capped.omega == full.omega:
+                assert capped == full
+            else:
+                exits += 1
+                assert not full.passed
+                assert capped.omega <= full.omega * (1.0 + 1e-12)
+                assert capped.eta * capped.omega > 0.25
+            passes += full.passed
+        assert exits > len(cases) // 2 and passes > 0
 
 
 class TestNewton:
@@ -781,6 +885,38 @@ class TestKtsSolve:
             r = kts_solve(convert(protocol_system(600), basis))
             assert r.patches_examined > 1
             assert len(calls) == 1, basis
+
+    def test_near_coincident_builds_no_lipschitz_enclosure(self, monkeypatch):
+        """On the zero-free near-coincident system every Kantorovich test
+        with a non-singular Jacobian still calls lipschitz_bound once, and
+        the centre's curvature decides each of them, so no enclosure is
+        built."""
+        import ktsolve.solver
+
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(ktsolve.solver, name)
+
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name] += 1
+                # a singular Jacobian (eta = inf) fails before any bound
+                if name == "kantorovich_test" and math.isfinite(result.eta):
+                    calls["non-singular"] += 1
+                return result
+
+            return counted
+
+        for name in ("kantorovich_test", "lipschitz_bound", "bounding_interval_bi"):
+            monkeypatch.setattr(ktsolve.solver, name, counting(name))
+        for basis in BASES:
+            calls.clear()
+            r = kts_solve(convert(near_coincident_system(), basis))
+            assert not r.zeros and not r.unresolved, basis
+            assert calls["kantorovich_test"] > 0, basis
+            assert calls["lipschitz_bound"] == calls["non-singular"], basis
+            assert calls["bounding_interval_bi"] == 0, basis
 
     def test_warm_matrix_caches_change_no_solve(self):
         """A solve that builds its conversion and halving matrices and one
