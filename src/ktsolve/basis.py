@@ -76,6 +76,14 @@ def _as_coeffs(values, ndim_grid):
     return np.ascontiguousarray(c)
 
 
+def _unchecked(cls, **fields):
+    """Dataclass cls holding fields as given, skipping __post_init__: for
+    values the package built that already pass its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass
 class UnivariatePolynomial:
     """Coefficients c_0..c_n in one basis; d components per coefficient."""

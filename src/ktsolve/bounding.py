@@ -49,7 +49,8 @@ class Zonotope:
 
 
 def bounding_polytope(f):
-    """Enclosure of f's range over the canonical square of its basis."""
+    """Enclosure of f's range over the canonical square of its basis. A
+    zonotope keeps NaN and inf generators, so they keep the origin inside."""
     if f.components != 2:
         raise ValueError("bounding_polytope expects a 2-component system")
     pts = f.coeffs.reshape(-1, 2)
@@ -57,8 +58,7 @@ def bounding_polytope(f):
         return ControlHull(pts.copy(), f.basis)
     center = pts[0].copy()
     gens = pts[1:]
-    keep = np.abs(gens).max(axis=1) > 0.0
-    return Zonotope(center, gens[keep], f.basis)
+    return Zonotope(center, gens[(gens != 0.0).any(axis=1)], f.basis)
 
 
 def contains_origin(p, tol=0.0):
@@ -82,8 +82,10 @@ def contains_origin(p, tol=0.0):
     x, y = pts[:, 0], pts[:, 1]
     cross = x[:, None] * y - y[:, None] * x  # cross[k, j] = cross(p_k, p_j)
     one_side = (cross >= 0.0).all(axis=1) | (cross <= 0.0).all(axis=1)
+    if not one_side.any():
+        return True
     on_own_ray = ((cross != 0.0) | (pts @ pts.T > 0.0)).all(axis=1)
-    return not np.any(one_side & on_own_ray)
+    return not (one_side & on_own_ray).any()
 
 
 def support(p, direction):

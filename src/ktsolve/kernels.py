@@ -2,8 +2,9 @@
 
 What numpy.polynomial lacks: de Casteljau evaluation, the Taylor shift,
 the restriction matrices, and the zonotope membership test. Each kernel
-works on all columns at once and loops in Python over the degree only.
-pascal is the package's one float binomial table.
+works on all columns at once and loops in Python over the degree only;
+the membership test takes every edge normal's reach from one outer
+product. pascal is the package's one float binomial table.
 
 The five restriction kernels (power_affine_cols, cheb_affine_rows,
 mat_apply_cols, mat_t_apply_cols, bernstein_patch_matrix) serve
@@ -136,11 +137,17 @@ def zonotope_origin_inside(cx, cy, gens):
     A point is inside iff for every edge-normal direction (perpendicular
     to some generator) and for both axis directions, the center offset
     along the direction does not exceed the total generator reach. Axis
-    directions cover the degenerate point/segment cases.
+    directions cover the degenerate point/segment cases; a zero generator's
+    row can never exclude. Reaches are summed over the generators in
+    order. A NaN or infinite generator entry makes each row it reaches
+    undecidable, so no such row excludes.
     """
-    normal = (gens[:, 0] != 0.0) | (gens[:, 1] != 0.0)
-    dx = np.concatenate((-gens[normal, 1], [1.0, 0.0]))
-    dy = np.concatenate((gens[normal, 0], [0.0, 1.0]))
-    # reach[d] sums |<direction d, generator i>| over generators in order
-    reach = np.abs(dx * gens[:, :1] + dy * gens[:, 1:]).sum(axis=0)
-    return not np.any(np.abs(dx * cx + dy * cy) > reach)
+    gx, gy = gens[:, 0], gens[:, 1]
+    cross = np.multiply.outer(gy, gx)
+    # reach[i] sums |cross(g_k, g_i)| over k: the reach along g_i's normal
+    reach = np.abs(cross - cross.T).sum(axis=0)
+    if (np.abs(gx * cy - gy * cx) > reach).any():
+        return False
+    # the axis rows; 0 * (the other coordinate) carries a NaN or inf across
+    reach_x, reach_y = np.abs(gens + 0.0 * gens[:, ::-1]).sum(axis=0).tolist()
+    return not (abs(cx + 0.0 * cy) > reach_x or abs(cy + 0.0 * cx) > reach_y)

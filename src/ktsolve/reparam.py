@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import Basis, BivariateSystem
+from .basis import Basis, BivariateSystem, _unchecked
 
 _DOMAIN_SLACK = 1e-12
 
@@ -45,12 +45,13 @@ class Patch:
         return u0 - r, u0 + r, v0 - r, v0 + r
 
     def subdivide(self):
-        """Four half-width children, fixed (-,-), (-,+), (+,-), (+,+) order."""
+        """Four half-width children, fixed (-,-), (-,+), (+,-), (+,+) order,
+        checked here at once rather than by __post_init__ one by one."""
         (u0, v0), h = self.center, self.half_width / 2.0
-        return tuple(
-            Patch((u0 + du * h, v0 + dv * h), h)
-            for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1))
-        )
+        us, vs = (u0 - h, u0 + h), (v0 - h, v0 + h)
+        if not (h > 0.0 and all(map(math.isfinite, us + vs))):
+            raise ValueError(f"the children of {self} need a finite center and half-width > 0")
+        return tuple(_unchecked(Patch, center=(u, v), half_width=h) for u in us for v in vs)
 
 
 def _axis_restrict(basis, cols, center, r):

@@ -38,6 +38,7 @@ from .basis import (
     Basis,
     BivariateSystem,
     DegreeLimitError,
+    _unchecked,
     conversion_matrix,
     convert,
     derivative_bi,
@@ -135,9 +136,10 @@ class _Frame:
     and differentiation is linear, so that scaling is exact, and every
     Jacobian, inverse and Lipschitz constant built from them is in the
     unit frame with no further factor. Built once per system and read at
-    every patch: the grid [f, f_u, f_v] that value_and_jacobian evaluates
-    in one eval_bi call, and the power-form second partials behind
-    lipschitz_at and curvature_at.
+    every patch: the grid [f, f_u, f_v, f_uu, f_uv, f_vv] that one eval_bi
+    call evaluates per point, remembered for the last point so that
+    value_and_jacobian and curvature_at at one centre share it, and the
+    power-form second partials behind lipschitz_at's enclosures.
     """
 
     def __init__(self, f):
@@ -157,6 +159,7 @@ class _Frame:
         self.theta = theta(f.basis, f.degree_u, f.degree_v)
         self.gamma = gamma(self.theta)
         self.residual_scale = f.max_coeff_norm()
+        self._last = (None, None)  # (point as a float pair, its 12 values)
 
     def canon(self, x):
         """Unit-square point -> canonical coordinates."""
@@ -249,61 +252,66 @@ class _Frame:
         unit-square point, maximised over the rows of jac_inv.
 
         The same row sum lipschitz_at encloses over a ball, taken at its
-        centre, so no ball's bound is below it (in exact arithmetic). One
-        product with the powers of t0 = 2x - 1 per axis evaluates the
-        three power-form partials, and jac_inv mixes their components.
+        centre, so no ball's bound is below it (in exact arithmetic). F''
+        is the last six values of the evaluation value_and_jacobian made
+        at the same point, in the system's own basis; jac_inv mixes their
+        components.
         """
-        partials = self.taylor_base[0][:, 0]  # (3 partials, 2 components, M, N)
-        m1, n1 = partials.shape[2:]
-        tu, tv = (2.0 * c - 1.0 for c in center)
-        values = tu ** np.arange(m1) @ partials @ tv ** np.arange(n1)  # (partial, component)
+        values = self._evaluate(center)[6:].reshape(3, 2)  # (partial, component)
         rows = (np.asarray(jac_inv) @ values.T).tolist()  # (row of jac_inv, partial)
         return max(abs(uu) + 2.0 * abs(uv) + abs(vv) for uu, uv, vv in rows)
 
     @cached_property
     def value_jacobian_system(self):
-        """[f, f_u, f_v] as one 6-component grid at f's degrees.
+        """[f, f_u, f_v, f_uu, f_uv, f_vv] as one 12-component grid at f's degrees.
 
-        f_u and f_v lose a degree along their own axis. Power and
-        Chebyshev pad it back with a zero leading coefficient, which
-        leaves numpy's polyval and chebval bit-identical (chebval can at
-        most flip the sign of a zero result); a zero Bernstein
+        Each partial loses a degree along each axis it differentiates.
+        Power and Chebyshev pad it back with zero leading coefficients,
+        which leaves numpy's polyval and chebval bit-identical (chebval
+        can at most flip the sign of a zero result); a zero Bernstein
         coefficient would change the polynomial, so Bernstein
-        degree-elevates instead.
+        degree-elevates instead. Evaluation works column by column, so
+        the first six values do not depend on the last six.
         """
         m1, n1, _ = self.f.coeffs.shape
-        fu, fv = self.fu.coeffs, self.fv.coeffs
-        if self.f.basis is Basis.BERNSTEIN:
-            fu = _elevate(fu, m1)
-            fv = _elevate(fv.swapaxes(0, 1), n1).swapaxes(0, 1)
-        grid = np.zeros((m1, n1, 6))
-        grid[..., :2] = self.f.coeffs
-        grid[: fu.shape[0], :, 2:4] = fu
-        grid[:, : fv.shape[1], 4:] = fv
+        grid = np.zeros((m1, n1, 12))
+        for k, g in enumerate((self.f, self.fu, self.fv, *self.second_partials)):
+            c = g.coeffs
+            if self.f.basis is Basis.BERNSTEIN:
+                c = _elevate(_elevate(c, m1).swapaxes(0, 1), n1).swapaxes(0, 1)
+            grid[: c.shape[0], : c.shape[1], 2 * k : 2 * k + 2] = c
         return BivariateSystem(self.f.basis, grid)
+
+    def _evaluate(self, x):
+        """value_jacobian_system's 12 values at a unit-square point, read-only;
+        the last point's are kept, so asking again there evaluates nothing."""
+        key = (float(x[0]), float(x[1]))
+        if self._last[0] != key:
+            out = eval_bi(self.value_jacobian_system, *self.canon(x))
+            out.setflags(write=False)
+            self._last = key, out
+        return self._last[1]
 
     def value_and_jacobian(self, x):
         """F(x) and F'(x) at a unit-square point, from one eval_bi call."""
-        t = self.canon(x)
-        out = eval_bi(self.value_jacobian_system, t[0], t[1])
-        return out[:2], out[2:].reshape(2, 2).T
+        out = self._evaluate(x)
+        return out[:2], out[2:6].reshape(2, 2).T
 
 
 def _elevate(c, k1):
-    """Raise a Bernstein grid's degree along axis 0 by one, to k1 rows.
+    """Raise a Bernstein grid's degree along axis 0 to k1 rows.
 
-    Row i of the result is (i/k) c[i-1] + (1 - i/k) c[i] with k = k1 - 1,
-    the same polynomial at degree k. A grid that already has k1 rows (the
-    one-row derivative of a constant) passes through.
+    Each step takes k rows to k + 1, row i becomes (i/k) c[i-1] + (1 - i/k)
+    c[i], the same polynomial one degree up; k1 rows pass through.
     """
-    if c.shape[0] == k1:
-        return c
-    k = k1 - 1
-    w = (np.arange(k1) / k)[:, None, None]
-    out = np.zeros((k1,) + c.shape[1:])
-    out[1:] = w[1:] * c
-    out[:-1] += (1.0 - w[:-1]) * c
-    return out
+    while c.shape[0] < k1:
+        k = c.shape[0]
+        w = (np.arange(k + 1) / k)[:, None, None]
+        out = np.zeros((k + 1,) + c.shape[1:])
+        out[1:] = w[1:] * c
+        out[:-1] += (1.0 - w[:-1]) * c
+        c = out
+    return c
 
 
 def _inv2(j):
@@ -354,7 +362,8 @@ def exclusion_test(f, x, *, _grid=None):
         _grid = reparametrize(f, _Frame(f).canon_patch(x)).coeffs
     if _excluded_by_one_component(f.basis, _grid):
         return True
-    return not contains_origin(bounding_polytope(BivariateSystem(f.basis, _grid)))
+    enclosure = bounding_polytope(_unchecked(BivariateSystem, basis=f.basis, coeffs=_grid))
+    return not contains_origin(enclosure)
 
 
 def lipschitz_bound(f, jac_inv, ball, *, _frame=None, _cap=math.inf):
@@ -385,11 +394,12 @@ def kantorovich_test(f, x, *, _frame=None):
     center stays inside the gamma-enlarged unit square, where eta bounds
     the first Newton step and omega the Jacobian's relative Lipschitz
     constant over the enlarged patch. lipschitz_bound is capped at
-    (1 + _CAP_REL) / (4 eta): when the curvature at the centre alone
-    already exceeds that, the test fails with omega = omega_0 and no
-    enclosure is built. That exit only ever fails a test, so it
-    certifies nothing; the relative margin keeps it off patches that the
-    enclosure bound would pass up to rounding.
+    (1 + _CAP_REL) / (4 eta): when the curvature at the centre alone,
+    omega_0 from the one evaluation that gave eta, already exceeds that,
+    the test fails with omega = omega_0 and no enclosure is built. That
+    exit only ever fails a test, so it certifies nothing; the relative
+    margin keeps it off patches that the enclosure bound would pass up to
+    rounding.
     """
     fr = _frame or _Frame(f)
     u0, v0 = x.center
@@ -507,7 +517,7 @@ def kts_solve(f, config=None):
         patches_examined += 1
         smallest_width = min(smallest_width, 2.0 * patch.half_width)
 
-        if _covered(balls, patch):
+        if balls and _covered(balls, patch):
             skipped_subsumed += 1
             if trace:
                 log.debug("patch %s subsumed by certified ball", patch)
@@ -543,7 +553,7 @@ def kts_solve(f, config=None):
 
         if patch.half_width / 2.0 >= cfg.min_half_width:
             queue.extend(zip(patch.subdivide(), subdivide_grid(grid, halve_u, halve_v)))
-        elif _covered(balls, patch):  # by a ball certified at this patch
+        elif balls and _covered(balls, patch):  # by a ball certified at this patch
             skipped_subsumed += 1
         else:
             unresolved.append(patch)
@@ -581,9 +591,9 @@ def condition_estimate(f, zeros):
         return None
     fr = _Frame(f)
     ts = fr.canon(np.linspace(0.0, 1.0, GRID_DENSITY))
-    # F'(y) at every grid point, (u, v, 2, 2), from the [f, f_u, f_v] grid
+    # F'(y) at every grid point, (u, v, 2, 2), from columns 2-5 of the frame's grid
     grid = eval_bi_grid(fr.value_jacobian_system, ts, ts)
-    jac = grid[..., 2:].reshape(GRID_DENSITY, GRID_DENSITY, 2, 2).swapaxes(-1, -2)
+    jac = grid[..., 2:6].reshape(GRID_DENSITY, GRID_DENSITY, 2, 2).swapaxes(-1, -2)
     square = Patch((0.5, 0.5), 0.5 + fr.gamma)
 
     worst = 0.0

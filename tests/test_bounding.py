@@ -1,6 +1,7 @@
 """Bounding polytopes, intervals, and the constants they depend on."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestContainsOrigin:
         """Degenerate clouds decided exactly, without slack."""
         assert contains_origin(ControlHull(np.array(pts), Basis.BERNSTEIN), tol=0.0) is inside
 
+    def test_hull_matches_every_row_form(self):
+        """Returning as soon as no control point is one-sided decides as
+        forming every row does, on 100,000 clouds: 50,000 draws and their
+        mirror images (x, y) -> (x, -y). Mirroring negates every cross
+        product and keeps every dot product, so the every-row form gives
+        a cloud and its mirror the same answer."""
+        rng = np.random.default_rng(2025)
+        flip = np.array([1.0, -1.0])
+        outcomes = Counter()
+        for pts in hull_clouds(rng, 50_000):
+            got = contains_origin(ControlHull(pts, Basis.BERNSTEIN))
+            assert got == hull_every_row(pts), pts
+            assert contains_origin(ControlHull(pts * flip, Basis.BERNSTEIN)) == got, pts
+            outcomes[got] += 1
+        assert min(outcomes.values()) > 10_000, outcomes
+
     def test_tol_is_inf_norm_slack(self):
         """tol admits the origin within inf-norm distance tol: a corner at
         offset (1.5e-10, 1.5e-10) lies 2.1e-10 away in the 2-norm."""
@@ -185,6 +202,34 @@ class TestContainsOrigin:
             assert not contains_origin(p)
             assert not contains_origin(p, tol=1e-10)
             assert contains_origin(p, tol=2e-10)
+
+
+def hull_every_row(pts):
+    """The hull test with on_own_ray formed for every control point, even
+    when no point is one-sided."""
+    x, y = pts[:, 0], pts[:, 1]
+    cross = x[:, None] * y - y[:, None] * x
+    one_side = (cross >= 0.0).all(axis=1) | (cross <= 0.0).all(axis=1)
+    on_own_ray = ((cross != 0.0) | (pts @ pts.T > 0.0)).all(axis=1)
+    return not np.any(one_side & on_own_ray)
+
+
+def hull_clouds(rng, count):
+    """Control-point clouds of 1-25 points, a quarter of each kind: N(0, 1)
+    about a random offset, a half-integer grid (exact ties and collinear
+    runs), the grid with zero and -0.0 rows mixed in, and points on a few
+    rays through the origin. Drawn 1,000 at a time."""
+    for _ in range(0, count, 1000):
+        sizes = rng.integers(1, 26, 1000)
+        normal = rng.standard_normal((1000, 25, 2)) + rng.standard_normal((1000, 1, 2))
+        grid = rng.integers(-4, 5, (1000, 25, 2)) / 2.0
+        grid[2::4][rng.random((250, 25)) < 0.3] = 0.0
+        grid[2::4] *= rng.choice([-1.0, 1.0], (250, 25, 2))  # signed zeros, mixed
+        rays = rng.integers(-2, 3, (1000, 3, 2)) / 2.0
+        on_rays = rays[np.arange(1000)[:, None], rng.integers(0, 3, (1000, 25))]
+        on_rays *= rng.integers(1, 5, (1000, 25, 1)) / 2.0
+        for k in range(1000):
+            yield (normal, grid, grid, on_rays)[k % 4][k, : sizes[k]]
 
 
 class TestBoundingPolytope:
@@ -275,6 +320,21 @@ class TestBoundingPolytope:
         p = bounding_polytope(random_system(rng, Basis.POWER, 2, 2))
         with pytest.raises(ValueError):
             support(p, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("basis", BASES)
+    def test_non_finite_coefficient_keeps_origin_inside(self, basis, bad):
+        """A NaN or infinite coefficient is a generator, not an all-zero row
+        to drop, so no enclosure built from it excludes the origin. The
+        zonotope's other generators are zero, so without the bad one its
+        centre (1, 1) alone would be a point away from the origin."""
+        with np.errstate(invalid="ignore"):  # inf * 0
+            for entry in ((bad, 0.0), (0.0, bad)):
+                grid = np.array([[[1.0, 1.0], [0.0, 0.0]], [entry, [0.0, 0.0]]])
+                p = bounding_polytope(BivariateSystem(basis, grid))
+                if isinstance(p, Zonotope):
+                    assert len(p.generators) == 1, entry
+                assert contains_origin(p), entry
 
     def test_rejects_single_component(self):
         f = BivariateSystem(Basis.POWER, np.ones((2, 2, 1)))

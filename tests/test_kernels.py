@@ -1,10 +1,12 @@
 """Numeric kernels: reference values from NumPy and direct expansion."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
+import pytest
 
 from ktsolve import kernels
 
@@ -97,3 +99,64 @@ class TestKernelValues:
         empty = np.zeros((0, 2))
         assert kernels.zonotope_origin_inside(0.0, 0.0, empty)
         assert not kernels.zonotope_origin_inside(1e-9, 0.0, empty)
+
+
+def zonotope_direct(cx, cy, gens):
+    """The membership test written directly, one row per direction: the
+    normals of the nonzero generators, then the two axes, each reach one
+    in-order sum of |<direction, generator>|."""
+    normal = (gens[:, 0] != 0.0) | (gens[:, 1] != 0.0)
+    dx = np.concatenate((-gens[normal, 1], [1.0, 0.0]))
+    dy = np.concatenate((gens[normal, 0], [0.0, 1.0]))
+    reach = np.abs(dx * gens[:, :1] + dy * gens[:, 1:]).sum(axis=0)
+    return not np.any(np.abs(dx * cx + dy * cy) > reach)
+
+
+def zonotope_inputs(rng, count):
+    """(cx, cy, gens) triples, a quarter of each kind: N(0, 1) entries,
+    entries on a half-integer grid (ties between a centre offset and a
+    reach are common there), half-integer entries with zero and -0.0
+    rows mixed in, and empty generator sets. Drawn 1,000 at a time."""
+    for _ in range(0, count, 1000):
+        sizes = rng.integers(1, 25, 1000)
+        normal = rng.standard_normal((1000, 25, 2))
+        grid = rng.integers(-6, 7, (1000, 25, 2)) / 2.0
+        grid[2::4][rng.random((250, 25)) < 0.3] = 0.0
+        grid[2::4] *= rng.choice([-1.0, 1.0], (250, 25, 2))  # signed zeros, mixed
+        for k in range(1000):
+            pool = normal[k] if k % 4 == 0 else grid[k]
+            g = 0 if k % 4 == 3 else sizes[k]
+            yield float(pool[0, 0]), float(pool[0, 1]), pool[1 : g + 1]
+
+
+def test_zonotope_matches_direct_rows():
+    """The outer-product form decides as the direct rows do, on 100,000
+    inputs, and its answer does not move when the generators and the
+    centre are mirrored (x, y) -> (x, -y), which negates every term
+    exactly."""
+    rng = np.random.default_rng(2024)
+    outcomes = Counter()
+    for cx, cy, gens in zonotope_inputs(rng, 100_000):
+        got = kernels.zonotope_origin_inside(cx, cy, gens)
+        assert got == zonotope_direct(cx, cy, gens), (cx, cy, gens)
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 20_000, outcomes
+    for cx, cy, gens in zonotope_inputs(rng, 2_000):
+        got = kernels.zonotope_origin_inside(cx, cy, gens)
+        assert kernels.zonotope_origin_inside(cx, -cy, gens * [1.0, -1.0]) == got
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zonotope_non_finite_generator_never_excludes(bad):
+    """A NaN or infinite generator entry leaves the origin inside, as the
+    direct rows do, even where the other coordinate alone would exclude;
+    so does a NaN centre, and an infinite one decides as the direct rows."""
+    gens = np.array([[bad, 0.0], [0.0, 0.0]])
+    unit = np.array([[0.5, 0.5]])
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert kernels.zonotope_origin_inside(1.0, 1.0, gens)
+        assert kernels.zonotope_origin_inside(1.0, 1.0, gens[:, ::-1].copy())
+        assert kernels.zonotope_origin_inside(math.nan, 1.0, unit)
+        for cx, cy in ((bad, 1.0), (1.0, bad), (bad, 0.0)):
+            got = kernels.zonotope_origin_inside(cx, cy, unit)
+            assert got == zonotope_direct(cx, cy, unit), (cx, cy)

@@ -67,6 +67,31 @@ class TestPatch:
         with pytest.raises(ValueError, match="finite"):
             Patch(center, half_width)
 
+    def test_children_equal_validated_patches(self):
+        """subdivide skips __post_init__, yet each child equals, in value,
+        field types and hash, the Patch that the same numbers build; a
+        half-width that halves to 0 or a child centre that overflows still
+        raises."""
+        rng = np.random.default_rng(21)
+        parents = [Patch((0.5, 0.5), 0.5), Patch((-3.0, 1e300), 1e300)]
+        parents += [
+            Patch(tuple(rng.uniform(-2, 2, 2)), 2.0 ** -int(rng.integers(1, 60))) for _ in range(200)
+        ]
+        for x in parents:
+            (u0, v0), h = x.center, x.half_width / 2.0
+            want = [Patch((u0 + du * h, v0 + dv * h), h) for du in (-1, 1) for dv in (-1, 1)]
+            kids = x.subdivide()
+            assert list(kids) == want and all(type(k) is Patch for k in kids), x
+            assert [tuple(map(type, k.center)) + (type(k.half_width),) for k in kids] == [
+                (float, float, float)
+            ] * 4
+            assert list(map(hash, kids)) == list(map(hash, want)), x
+            with pytest.raises(AttributeError):
+                kids[0].half_width = 1.0
+        for x in (Patch((0.5, 0.5), 5e-324), Patch((1.7e308, 0.0), 1e308)):
+            with pytest.raises(ValueError, match="finite"):
+                x.subdivide()
+
     def test_hashable_and_frozen(self):
         x = Patch((0.5, 0.5), 0.5)
         assert hash(x) == hash(Patch((0.5, 0.5), 0.5))

@@ -678,6 +678,76 @@ class TestValueAndJacobian:
                         else:
                             assert np.array_equal(jac, want_jac), (basis, m, n, x)
 
+    def test_first_six_values_match_a_six_column_grid(self):
+        """F and F' from the 12-column grid are, bit for bit, what the
+        6-column grid [f, f_u, f_v] gives (Bernstein partials raised one
+        degree, the others zero-padded), at points in and outside the
+        square in each basis; and they come back read-only."""
+
+        def elevate_once(c, k1):
+            if c.shape[0] == k1:
+                return c
+            w = (np.arange(k1) / (k1 - 1))[:, None, None]
+            out = np.zeros((k1,) + c.shape[1:])
+            out[1:] = w[1:] * c
+            out[:-1] += (1.0 - w[:-1]) * c
+            return out
+
+        rng = np.random.default_rng(89)
+        for basis in BASES:
+            for m in range(6):
+                for n in range(6):
+                    fr = _Frame(random_system(rng, basis, m, n))
+                    fu, fv = fr.fu.coeffs, fr.fv.coeffs
+                    if basis is Basis.BERNSTEIN:
+                        fu = elevate_once(fu, m + 1)
+                        fv = elevate_once(fv.swapaxes(0, 1), n + 1).swapaxes(0, 1)
+                    six = np.zeros((m + 1, n + 1, 6))
+                    six[..., :2] = fr.f.coeffs
+                    six[: fu.shape[0], :, 2:4] = fu
+                    six[:, : fv.shape[1], 4:] = fv
+                    for x in rng.uniform(-0.25, 1.25, (6, 2)):
+                        want = eval_bi(BivariateSystem(basis, six), *fr.canon(x))
+                        val, jac = fr.value_and_jacobian(x)
+                        assert val.tobytes() == want[:2].tobytes(), (basis, m, n, x)
+                        assert jac.tobytes() == want[2:].reshape(2, 2).T.tobytes()
+                        assert not (val.flags.writeable or jac.flags.writeable)
+
+    def test_second_partials_match_their_own_grids(self):
+        """The last six values are F'' as the separate second-partial grids
+        give it: bit for bit in power and Chebyshev form, to rounding in
+        Bernstein form, where the partials are raised up to two degrees."""
+        rng = np.random.default_rng(90)
+        for basis in BASES:
+            for m in range(6):
+                for n in range(6):
+                    fr = _Frame(random_system(rng, basis, m, n))
+                    scale = max(np.max(np.abs(g.coeffs)) for g in fr.second_partials)
+                    for x in rng.uniform(-0.25, 1.25, (6, 2)):
+                        got = fr._evaluate(x)[6:]
+                        t = fr.canon(x)
+                        want = np.concatenate([eval_bi(g, *t) for g in fr.second_partials])
+                        if basis is Basis.BERNSTEIN:
+                            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (m, n, x)
+                        else:
+                            assert got.tobytes() == want.tobytes(), (basis, m, n, x)
+
+    def test_curvature_elsewhere_matches_a_fresh_frame(self):
+        """A frame remembers only its last point: after evaluating at x,
+        curvature_at at y != x gives what a fresh frame gives at y, and
+        asking at x again gives x's value once more."""
+        rng = np.random.default_rng(91)
+        for basis in BASES:
+            f = random_system(rng, basis, 3, 4)
+            for _ in range(20):
+                x, y = rng.uniform(0.0, 1.0, (2, 2))
+                inv = rng.standard_normal((2, 2))
+                fr = _Frame(f)
+                fr.value_and_jacobian(x)
+                at_x = fr.curvature_at(inv, tuple(x))
+                assert fr.curvature_at(inv, tuple(y)) == _Frame(f).curvature_at(inv, tuple(y))
+                assert fr.curvature_at(inv, x) == at_x == _Frame(f).curvature_at(inv, x)
+
     def test_solver_needs_two_components(self):
         """Grids may hold any number of components; the solver takes two."""
         rng = np.random.default_rng(88)
@@ -917,6 +987,33 @@ class TestKtsSolve:
             assert calls["kantorovich_test"] > 0, basis
             assert calls["lipschitz_bound"] == calls["non-singular"], basis
             assert calls["bounding_interval_bi"] == 0, basis
+
+    def test_near_coincident_evaluates_once_per_kantorovich_test(self, monkeypatch):
+        """On the near-coincident system each Kantorovich test costs one
+        evaluation of the frame's grid, which also gives the centre's
+        curvature, and no basis conversion runs inside the solve."""
+        import ktsolve.solver
+
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(ktsolve.solver, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("kantorovich_test", "eval_bi", "convert", "conversion_matrix"):
+            monkeypatch.setattr(ktsolve.solver, name, counting(name))
+        for basis in BASES:
+            f = convert(near_coincident_system(), basis)
+            calls.clear()
+            kts_solve(f)
+            assert calls["kantorovich_test"] > 0, basis
+            assert calls["eval_bi"] == calls["kantorovich_test"], (basis, calls)
+            assert calls["convert"] == calls["conversion_matrix"] == 0, (basis, calls)
 
     def test_warm_matrix_caches_change_no_solve(self):
         """A solve that builds its conversion and halving matrices and one
