@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .basis import MAX_CONVERT_DEGREE, Basis, BivariateSystem, DegreeLimitError, convert
+from .basis import Basis, BivariateSystem, convert
 from .families import BENCH_BASES, bench_systems, interval_comparison
 from .solver import SolverConfig, condition_estimate, kts_solve
 
@@ -90,9 +90,20 @@ def write_system(f, path):
         "n": f.degree_v,
         "coeffs": f.coeffs.tolist(),
     }
+    _write_json(path, data)
+
+
+def _write_json(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def report_to_dict(report, cond_estimate):
@@ -121,34 +132,18 @@ def report_to_dict(report, cond_estimate):
 
 
 def _cmd_solve(args):
-    try:
-        system = parse_system(args.input)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    system = parse_system(args.input)
     settings = {}
     if args.tol is not None:
         settings["newton_tol"] = args.tol
     if args.max_depth is not None:
         if not 1 <= args.max_depth <= MAX_DEPTH:
-            print(
-                f"error: --max-depth must be in [1, {MAX_DEPTH}], got {args.max_depth}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
+            raise ValueError(f"--max-depth must be in [1, {MAX_DEPTH}], got {args.max_depth}")
         settings["min_half_width"] = 2.0 ** -args.max_depth
-    try:
-        cfg = SolverConfig(**settings)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        if args.basis:
-            system = convert(system, Basis(args.basis))
-        report = kts_solve(system, cfg)
-    except DegreeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = SolverConfig(**settings)
+    if args.basis:
+        system = convert(system, Basis(args.basis))
+    report = kts_solve(system, cfg)
     cond = condition_estimate(system, report.zeros) if args.cond else None
 
     print(f"basis: {system.basis.value}, degrees ({system.degree_u}, {system.degree_v})")
@@ -172,13 +167,7 @@ def _cmd_solve(args):
     if report.unresolved:
         print(f"unresolved patches: {len(report.unresolved)}", file=sys.stderr)
     if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report_to_dict(report, cond), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        _write_json(args.report, report_to_dict(report, cond))
     return EXIT_UNRESOLVED if report.unresolved else EXIT_OK
 
 
@@ -190,68 +179,42 @@ def _fmt(value):
     return str(value)
 
 
-def _negative_option(args, *names):
-    """Print an error line for the first named option below zero, if any."""
-    bad = next((name for name in names if getattr(args, name) < 0), None)
-    if bad:
-        print(f"error: --{bad} must be >= 0, got {getattr(args, bad)}", file=sys.stderr)
-    return bad is not None
+def _seed(args):
+    """--seed, checked here so that the message names the option."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
+def _bench_row(res):
+    row = [res.seed, res.m, res.n, _fmt(res.cond_estimate)]
+    for b in BENCH_BASES:
+        rep = res.reports[b.value]
+        row.extend([rep.patches_examined, _fmt(rep.smallest_width)])
+    return row
 
 
 def _cmd_bench(args):
-    if _negative_option(args, "count", "seed"):
-        return EXIT_INPUT_ERROR
-    if not 0 <= args.min_degree <= args.max_degree <= MAX_CONVERT_DEGREE:
-        print(
-            f"error: degrees must satisfy 0 <= --min-degree <= --max-degree <= "
-            f"{MAX_CONVERT_DEGREE}, got {args.min_degree} and {args.max_degree}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    results = bench_systems(
-        args.count, args.min_degree, args.max_degree, args.seed
-    )
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            per_basis = [f"{b.value}_{k}" for b in BENCH_BASES for k in ("patches", "width")]
-            writer.writerow(["seed", "m", "n", "cond_estimate", *per_basis])
-            for res in results:
-                row = [res.seed, res.m, res.n, _fmt(res.cond_estimate)]
-                for b in BENCH_BASES:
-                    rep = res.reports[b.value]
-                    row.extend([rep.patches_examined, _fmt(rep.smallest_width)])
-                writer.writerow(row)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    results = bench_systems(args.count, args.min_degree, args.max_degree, _seed(args))
+    per_basis = [f"{b.value}_{k}" for b in BENCH_BASES for k in ("patches", "width")]
+    _write_csv(args.out, ["seed", "m", "n", "cond_estimate", *per_basis], map(_bench_row, results))
     print(f"wrote {len(results)} systems to {args.out}")
     return EXIT_OK
 
 
 def _cmd_intervals(args):
-    if _negative_option(args, "count", "seed"):
-        return EXIT_INPUT_ERROR
-    counts = interval_comparison(args.count, args.seed)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(
-            os.path.join(args.out, "tighter.csv"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["family", "bernstein_tighter", "chebyshev_tighter", "ties"])
-            for c in counts:
-                writer.writerow([c.family, c.bernstein_tighter, c.chebyshev_tighter, c.ties])
-        with open(
-            os.path.join(args.out, "exact.csv"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["family", "bernstein_exact", "chebyshev_exact"])
-            for c in counts:
-                writer.writerow([c.family, c.bernstein_exact, c.chebyshev_exact])
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    counts = interval_comparison(args.count, _seed(args))
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(
+        os.path.join(args.out, "tighter.csv"),
+        ["family", "bernstein_tighter", "chebyshev_tighter", "ties"],
+        ([c.family, c.bernstein_tighter, c.chebyshev_tighter, c.ties] for c in counts),
+    )
+    _write_csv(
+        os.path.join(args.out, "exact.csv"),
+        ["family", "bernstein_exact", "chebyshev_exact"],
+        ([c.family, c.bernstein_exact, c.chebyshev_exact] for c in counts),
+    )
     print(f"wrote tighter.csv and exact.csv to {args.out}")
     return EXIT_OK
 
@@ -310,9 +273,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command. Input that the command or the library rejects
+    (ValueError, which SystemFileError and DegreeLimitError are) and a
+    failed read or write (OSError) print one error line and return 1."""
     _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

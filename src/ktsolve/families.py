@@ -18,6 +18,7 @@ from .basis import (
     BivariateSystem,
     UnivariatePolynomial,
     _check_int,
+    _matrix_degree,
     basis_matrix,
     convert,
     convert_uni,
@@ -79,7 +80,6 @@ class IntervalFamilyCounts:
 def interval_comparison(count, seed):
     """Per family: which basis bounds the range tighter, and how often an
     enclosure endpoint matches the true range endpoint to 1e-9."""
-    count = _check_int(count, "count")
     scan_x = np.linspace(-1.0, 1.0, _SCAN_POINTS)
     scan_a = basis_matrix(Basis.CHEBYSHEV, _FAMILY_DEGREE, scan_x)
     results = []
@@ -125,9 +125,12 @@ def bench_systems(count, min_degree, max_degree, seed):
 
     System i uses seed + i: degree drawn uniformly from
     [min_degree, max_degree] (square grids), coefficients standard
-    normal. The condition estimate comes from the Chebyshev run.
+    normal. The condition estimate comes from the Chebyshev run. Raises
+    ValueError for a bad count or degree range before any solve.
     """
     count = _check_int(count, "count")
+    min_degree = _check_int(min_degree, "min_degree")
+    _matrix_degree(_check_int(max_degree, "max_degree", min_degree))
     results = []
     for i in range(count):
         system_seed = int(seed) + i

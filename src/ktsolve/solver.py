@@ -495,8 +495,15 @@ def _covered(balls, patch):
 
 
 def kts_solve(f, config=None):
-    """Find all zeros of F in the unit square by certified subdivision."""
+    """Find all zeros of F in the unit square by certified subdivision.
+
+    F is first scaled by 2**-e so that max|c| lies in [1/2, 1), so that no
+    product of coefficients overflows or underflows because of the input's
+    overall magnitude. The scale is exact unless an entry is below 2**-1022
+    times the largest, and every decision below is invariant under it.
+    """
     cfg = config or SolverConfig()
+    f = BivariateSystem(f.basis, np.ldexp(f.coeffs, -math.frexp(f.max_coeff_norm())[1]))
     fr = _Frame(f)
     halve_u = halving_matrices(f.basis, f.degree_u)
     halve_v = halving_matrices(f.basis, f.degree_v)

@@ -1,6 +1,7 @@
 """Exclusion, Kantorovich, Newton, certification, and the full solve loop."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -264,6 +265,15 @@ def report_counters(report):
         report.skipped_subsumed,
         len(report.unresolved),
     )
+
+
+def solve_signature(r):
+    """Everything a solve reports, as exact values."""
+    zeros = [
+        (z.location.tobytes(), repr(z.rho_star), repr(z.omega_star), z.newton_iterations)
+        for z in r.zeros
+    ]
+    return report_counters(r), repr(r.smallest_width), r.unresolved, zeros
 
 
 def enclosure_excludes(basis, grid):
@@ -1018,14 +1028,6 @@ class TestKtsSolve:
     def test_warm_matrix_caches_change_no_solve(self):
         """A solve that builds its conversion and halving matrices and one
         that finds them cached agree bit for bit."""
-
-        def signature(r):
-            zeros = [
-                (z.location.tobytes(), repr(z.rho_star), repr(z.omega_star), z.newton_iterations)
-                for z in r.zeros
-            ]
-            return report_counters(r), repr(r.smallest_width), r.unresolved, zeros
-
         for basis in BASES:
             f = convert(protocol_system(603), basis)
             _conversion_matrix.cache_clear()
@@ -1034,7 +1036,7 @@ class TestKtsSolve:
             assert _halving_matrices.cache_info().misses > 0, basis
             warm = kts_solve(f)
             assert len(cold.zeros) == 3, basis
-            assert signature(warm) == signature(cold), basis
+            assert solve_signature(warm) == solve_signature(cold), basis
 
     def test_tiny_system_keeps_its_zero(self):
         """Scaling F by 1e-12 changes no decision: the singular-Jacobian
@@ -1050,6 +1052,41 @@ class TestKtsSolve:
             assert len(got) == len(want), basis
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12, basis
+
+    @pytest.mark.parametrize("k", [40, -40, 400, -400, 1000, -1000])
+    def test_power_of_two_scale_changes_nothing(self, k):
+        """F times 2**k gives the unscaled solve bit for bit, also where
+        products of two coefficients would overflow (k = 1000) or underflow
+        (k = -1000) without the solver's own scaling."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(600, 605):
+                for basis in BASES:
+                    f = convert(protocol_system(seed), basis)
+                    scaled = kts_solve(BivariateSystem(basis, np.ldexp(f.coeffs, k)))
+                    assert solve_signature(scaled) == solve_signature(kts_solve(f)), (seed, basis)
+
+    @pytest.mark.parametrize("s", [1.7e308, 1e-300])
+    def test_extreme_magnitude_solves_as_unit_scale(self, s):
+        """A grid of entries +-s near either float limit is solved as the
+        same grid scaled by a power of two to unit size, with no warning.
+        Both give the +-1 grid's counters and its zeros to a few ulps (s is
+        no power of two, so the unit-size grids differ in rounding)."""
+        signs = np.where(np.random.default_rng(0).random((4, 4, 2)) < 0.5, -1.0, 1.0)
+        cfg = SolverConfig(min_half_width=2**-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            unit = kts_solve(BivariateSystem(Basis.CHEBYSHEV, signs), cfg)
+            got = kts_solve(BivariateSystem(Basis.CHEBYSHEV, s * signs), cfg)
+            unit_size = np.ldexp(s * signs, -math.frexp(s)[1])
+            want = kts_solve(BivariateSystem(Basis.CHEBYSHEV, unit_size), cfg)
+        assert report_counters(unit) == (81, 46, 3, 15, 0) and len(unit.zeros) == 3
+        assert solve_signature(got) == solve_signature(want)
+        assert report_counters(got) == report_counters(unit)
+        for g, u in zip(sorted_zero_locations(got), sorted_zero_locations(unit)):
+            assert np.max(np.abs(g - u)) <= 1e-15
+        certs = [sorted((z.rho_star, z.omega_star) for z in r.zeros) for r in (got, unit)]
+        assert np.allclose(*certs, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "settings",
