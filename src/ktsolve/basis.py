@@ -22,8 +22,9 @@ integers and divided once, so it is its exact value rounded once.
 Univariate coefficients are stored as (n+1, d) arrays and bivariate
 tensor grids as (m+1, n+1, d), with d = 1 for scalar polynomials and
 d = 2 for maps into the plane. Any d >= 1 is held and evaluated, one
-column per component; the solver stacks a map with its two partials as
-one d = 6 grid so that a single evaluation yields F and F'.
+column per component; the solver stacks a map with its first and second
+partials as one d = 12 grid so that a single evaluation yields F, F' and
+F'', at one point or at an array of points.
 
 Power and Chebyshev grids are evaluated and differentiated by
 numpy.polynomial (polyval, chebval, polyder, chebder) along the grid's
@@ -151,9 +152,16 @@ def eval_uni(f, t):
 
 
 def eval_bi(f, u, v):
-    """Value of a bivariate grid at (u, v); float for d = 1, else (d,)."""
+    """Value of a bivariate grid at (u, v); float for d = 1, else (d,).
+
+    u and v may also be 1-D arrays of P points, giving (P, d) values.
+    polyval, chebval and de Casteljau work elementwise on the points, so
+    each row has the bits of a call at that point alone.
+    """
     eval_cols = _EVAL_COLS[f.basis]
-    out = eval_cols(v, eval_cols(u, f.coeffs))
+    out = eval_cols(v, eval_cols(u, f.coeffs), tensor=False)
+    if np.ndim(u):
+        return out.T
     return float(out[0]) if f.components == 1 else out
 
 

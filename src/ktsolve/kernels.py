@@ -4,7 +4,9 @@ What numpy.polynomial lacks: de Casteljau evaluation, the Taylor shift,
 the restriction matrices, and the zonotope membership test. Each kernel
 works on all columns at once and loops in Python over the degree only;
 the membership test takes every edge normal's reach from one outer
-product. pascal is the package's one float binomial table.
+product. pascal is the package's one float binomial table. de Casteljau
+takes points the way polyval and chebval do, one or an array at a time,
+so basis.eval_bi evaluates a batch of points in every basis alike.
 
 The five restriction kernels (power_affine_cols, cheb_affine_rows,
 mat_apply_cols, mat_t_apply_cols, bernstein_patch_matrix) serve
@@ -25,14 +27,20 @@ from functools import cache
 import numpy as np
 
 
-def decasteljau_cols(t, c):
-    """Evaluate Bernstein-basis columns at scalar t (stable outside [0,1] too).
+def decasteljau_cols(t, c, tensor=True):
+    """Evaluate Bernstein-basis columns at t (stable outside [0,1] too).
 
-    Takes numpy.polynomial's (x, c) order: c's first axis is the degree,
-    any further axes enumerate independent polynomials.
+    Takes numpy.polynomial's (x, c, tensor) convention: c's first axis is
+    the degree, any further axes enumerate independent polynomials, and an
+    array t either adds its own axes after them (tensor) or pairs with c's
+    trailing axes (not tensor). Every step is elementwise, so each point of
+    an array t gets the bits that t alone would get.
     """
+    if isinstance(t, np.ndarray) and tensor:
+        c = c.reshape(c.shape + (1,) * t.ndim)
     n1 = c.shape[0]
-    work = c.copy()
+    work = np.empty(np.broadcast(c, t).shape)
+    work[...] = c
     s = 1.0 - t
     for r in range(1, n1):
         work[: n1 - r] = s * work[: n1 - r] + t * work[1 : n1 - r + 1]

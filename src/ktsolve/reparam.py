@@ -11,7 +11,8 @@ solver's exclusion and convergence tests.
 The solver restricts once, to the whole square, which returns every
 coefficient unchanged in every basis (a -0.0 comes back as 0.0). Each
 patch carries its grid; subdivide_grid derives the children's grids
-from it with basis.halving_matrices.
+from it with basis.halving_matrices, for a whole depth's stack of grids
+in one call.
 """
 
 import math
@@ -94,11 +95,16 @@ def reparametrize(f, x, allow_outside=False):
 
 
 def subdivide_grid(grid, halve_u, halve_v):
-    """Restrictions of a grid (m+1, n+1, d) to the four half-width squares
-    of its square, stacked in Patch.subdivide order (-,-), (-,+), (+,-),
-    (+,+), given each axis' basis.halving_matrices.
+    """Restrictions of a grid (..., m+1, n+1, d) to the four half-width
+    squares of its square, stacked as (..., 4, m+1, n+1, d) in
+    Patch.subdivide order (-,-), (-,+), (+,-), (+,+), given each axis'
+    basis.halving_matrices.
+
+    Leading axes enumerate independent grids. matmul loops over them and
+    makes for each grid the same matrix products that grid alone gets, so
+    every child has the same bits either way.
     """
-    m1, n1, d = grid.shape
-    halves = (halve_u @ grid.reshape(m1, n1 * d)).reshape(2, 1, m1, n1, d)
-    # batched over (u side, v side, row i): halve_v[b] @ halves[a, i]
-    return (halve_v[None, :, None] @ halves).reshape(4, m1, n1, d)
+    *lead, m1, n1, d = grid.shape
+    halves = (halve_u @ grid.reshape(*lead, 1, m1, n1 * d)).reshape(*lead, 2, 1, m1, n1, d)
+    # batched over (..., u side, v side, row i): halve_v[b] @ halves[..., a, 0, i]
+    return (halve_v[:, None] @ halves).reshape(*lead, 4, m1, n1, d)

@@ -12,22 +12,25 @@ So do the derived quantities: Jacobians, their inverses and Lipschitz
 constants are those of the unit-square map F. The translation to
 canonical coordinates lives in _Frame alone.
 
-The search keeps a FIFO queue of square patches. Each patch is either
-discarded because a coefficient enclosure proves F cannot vanish on it,
-or certified because an affine-invariant Kantorovich test proves Newton
-iteration from its center converges to a unique nearby zero, or split
-into four half-size patches. Each queued patch carries the system's grid
-restricted to it. The one restriction, to the whole square, returns the
-input grid (it is kept so that a traced solve reaches the restriction
-layer); a split derives the four children's grids from their parent's
-with the exact per-axis basis.halving_matrices. Certified zeros carry a
-radius rho_star within which they are the only zero, which both
-deduplicates rediscovery and lets later patches be skipped wholesale.
+The search visits square patches in FIFO order, one depth at a time.
+Each patch is either discarded because a coefficient enclosure proves F
+cannot vanish on it, or certified because an affine-invariant Kantorovich
+test proves Newton iteration from its center converges to a unique nearby
+zero, or split into four half-size patches. Each patch carries the
+system's grid restricted to it. The one restriction, to the whole square,
+returns the input grid (it is kept so that a traced solve reaches the
+restriction layer); a depth's splits derive all children's grids from
+their parents' in one batch, with the exact per-axis
+basis.halving_matrices. Certified zeros carry a radius rho_star within
+which they are the only zero, which both deduplicates rediscovery and
+lets later patches be skipped wholesale. The work that needs no earlier
+decision (screening the grids, evaluating the centres, halving) is done
+for a whole depth at once; every decision and count is taken patch by
+patch in FIFO order, so the batching changes no result.
 """
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -137,9 +140,10 @@ class _Frame:
     Jacobian, inverse and Lipschitz constant built from them is in the
     unit frame with no further factor. Built once per system and read at
     every patch: the grid [f, f_u, f_v, f_uu, f_uv, f_vv] that one eval_bi
-    call evaluates per point, remembered for the last point so that
-    value_and_jacobian and curvature_at at one centre share it, and the
-    power-form second partials behind lipschitz_at's enclosures.
+    call evaluates, at a point or (prime) at an array of points, and the
+    power-form second partials behind lipschitz_at's enclosures. Values
+    are kept per point until the next prime, so value_and_jacobian and
+    curvature_at at one centre share one evaluation.
     """
 
     def __init__(self, f):
@@ -159,7 +163,7 @@ class _Frame:
         self.theta = theta(f.basis, f.degree_u, f.degree_v)
         self.gamma = gamma(self.theta)
         self.residual_scale = f.max_coeff_norm()
-        self._last = (None, None)  # (point as a float pair, its 12 values)
+        self._values = {}  # point as a float pair -> its 12 values, since the last prime
 
     def canon(self, x):
         """Unit-square point -> canonical coordinates."""
@@ -282,15 +286,27 @@ class _Frame:
             grid[: c.shape[0], : c.shape[1], 2 * k : 2 * k + 2] = c
         return BivariateSystem(self.f.basis, grid)
 
+    def prime(self, points):
+        """Evaluate value_jacobian_system at unit-square points (P, 2) with
+        one eval_bi call, and keep these values in place of those kept so
+        far. Each point's values have the bits that a call at that point
+        alone gives, so priming changes no result."""
+        canon = self.canon(points)
+        out = eval_bi(self.value_jacobian_system, canon[:, 0], canon[:, 1])
+        out.setflags(write=False)
+        self._values = dict(zip(map(tuple, points.tolist()), out))
+
     def _evaluate(self, x):
-        """value_jacobian_system's 12 values at a unit-square point, read-only;
-        the last point's are kept, so asking again there evaluates nothing."""
+        """value_jacobian_system's 12 values at a unit-square point, read-only.
+        Every point's values are kept until the next prime, so asking again
+        at a primed or an earlier point evaluates nothing."""
         key = (float(x[0]), float(x[1]))
-        if self._last[0] != key:
+        out = self._values.get(key)
+        if out is None:
             out = eval_bi(self.value_jacobian_system, *self.canon(x))
             out.setflags(write=False)
-            self._last = key, out
-        return self._last[1]
+            self._values[key] = out
+        return out
 
     def value_and_jacobian(self, x):
         """F(x) and F'(x) at a unit-square point, from one eval_bi call."""
@@ -328,7 +344,9 @@ def _inv2(j):
 
 
 def _excluded_by_one_component(basis, grid):
-    """Whether one component of a restricted grid alone keeps F away from 0.
+    """Whether one component of a restricted grid alone keeps F away from 0,
+    for a grid (m+1, n+1, 2) or, one answer per grid, a stack (..., m+1,
+    n+1, 2).
 
     Bernstein: all control values of a component > 0, or all < 0; sign
     comparisons involve no rounding, so this proves exclusion exactly.
@@ -339,29 +357,30 @@ def _excluded_by_one_component(basis, grid):
     decides exactly as the kernel does. False leaves the patch to the
     full enclosure test.
     """
-    pts = grid.reshape(-1, 2)
+    pts = grid.reshape(*grid.shape[:-3], -1, 2)
     if basis is Basis.BERNSTEIN:
-        lo_x, lo_y = pts.min(axis=0).tolist()
-        hi_x, hi_y = pts.max(axis=0).tolist()
-        return lo_x > 0.0 or lo_y > 0.0 or hi_x < 0.0 or hi_y < 0.0
-    # sum over axis 0 of a C-ordered (G, 2) array adds row by row, as the kernel does
-    reach_x, reach_y = np.abs(pts[1:]).sum(axis=0).tolist()
-    c_x, c_y = pts[0].tolist()
-    return abs(c_x) > reach_x or abs(c_y) > reach_y
+        lo, hi = pts.min(axis=-2), pts.max(axis=-2)
+        return (lo > 0.0).any(axis=-1) | (hi < 0.0).any(axis=-1)
+    # a sum over a C-ordered array's second-last axis adds row by row, as the kernel does
+    reach = np.abs(pts[..., 1:, :]).sum(axis=-2)
+    return (np.abs(pts[..., 0, :]) > reach).any(axis=-1)
 
 
 def exclusion_test(f, x, *, _grid=None):
     """True when a coefficient enclosure proves F has no zero on patch x.
 
-    _grid, when given, is f's grid already restricted to x. Most excluded
-    patches are decided by one component's signs or axis sums on the raw
-    grid; only the rest build the enclosure and test it for the origin.
-    Both tests give the same answer wherever the first one decides.
+    Most excluded patches are decided by one component's signs or axis
+    sums on the raw grid (_excluded_by_one_component); only the rest build
+    the enclosure and test it for the origin. Both tests give the same
+    answer wherever the first one decides. _grid, when given, is f's grid
+    already restricted to x, which the caller has run through the first
+    test (kts_solve does so for a whole depth at once), so the enclosure
+    alone decides.
     """
     if _grid is None:
         _grid = reparametrize(f, _Frame(f).canon_patch(x)).coeffs
-    if _excluded_by_one_component(f.basis, _grid):
-        return True
+        if _excluded_by_one_component(f.basis, _grid):
+            return True
     enclosure = bounding_polytope(_unchecked(BivariateSystem, basis=f.basis, coeffs=_grid))
     return not contains_origin(enclosure)
 
@@ -487,28 +506,59 @@ def rho_star(f, zero, *, _frame=None):
     return lo, w_lo
 
 
-def _covered(balls, patch):
+def _covered(balls, u0, v0, hw):
     """Whether one certified ball (center u, center v, radius) holds the
-    whole patch, so the patch can hold no zero but that ball's."""
-    (u0, v0), hw = patch.center, patch.half_width
+    whole patch of center (u0, v0) and half-width hw, so the patch can hold
+    no zero but that ball's."""
     return any(max(abs(u0 - bu), abs(v0 - bv)) + hw <= r for bu, bv, r in balls)
+
+
+def _unit_scaled(f):
+    """f times 2**-e, e the binary exponent of max|c|, so that max|c| lies in
+    [1/2, 1) and no product of coefficients overflows or underflows because
+    of the input's overall magnitude. The scale is exact unless an entry is
+    below 2**-1022 times the largest."""
+    return BivariateSystem(f.basis, np.ldexp(f.coeffs, -math.frexp(f.max_coeff_norm())[1]))
+
+
+# children's centre offsets, in half-widths, in Patch.subdivide order
+_CHILD_OFFSETS = np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)])
 
 
 def kts_solve(f, config=None):
     """Find all zeros of F in the unit square by certified subdivision.
 
-    F is first scaled by 2**-e so that max|c| lies in [1/2, 1), so that no
-    product of coefficients overflows or underflows because of the input's
-    overall magnitude. The scale is exact unless an entry is below 2**-1022
-    times the largest, and every decision below is invariant under it.
+    F is first scaled by _unit_scaled; every decision below is invariant
+    under that scale. The search runs one depth at a time. The patches of
+    a depth share one half-width and are held as arrays in FIFO order:
+    centres (P, 2) and grids (P, m+1, n+1, 2). Per depth:
+
+    1. one _excluded_by_one_component call screens every grid;
+    2. a FIFO pass takes every decision and every count in the order of
+       the one-patch-at-a-time search: subsumption by the balls certified
+       so far (also earlier in the same depth), exclusion (the screen's
+       bit, else exclusion_test on the grid), Kantorovich, Newton and
+       rho_star, and the split or the width floor;
+    3. at the depth's first Kantorovich test, one _Frame.prime call
+       evaluates every centre from there on that the screen left open,
+       so kantorovich_test and Newton's first step evaluate nothing;
+    4. one subdivide_grid call builds all children's grids, and their
+       centres are the parents' plus or minus the new half-width: the
+       dyadic (2i+1) 2**-(k+1) at depth k, exact for k < 53.
+
+    Steps 1 and 3 only save work: a patch the screen left open may still
+    be subsumed by a ball certified earlier in its depth, and a primed
+    centre need never be asked for.
     """
     cfg = config or SolverConfig()
-    f = BivariateSystem(f.basis, np.ldexp(f.coeffs, -math.frexp(f.max_coeff_norm())[1]))
+    f = _unit_scaled(f)
     fr = _Frame(f)
     halve_u = halving_matrices(f.basis, f.degree_u)
     halve_v = halving_matrices(f.basis, f.degree_v)
     root = Patch((0.5, 0.5), 0.5)
-    queue = deque([(root, reparametrize(f, fr.canon_patch(root)).coeffs)])
+    grids = reparametrize(f, fr.canon_patch(root)).coeffs[None]
+    centres = np.array([root.center])
+    hw = root.half_width
     balls = []  # (center u, center v, radius) as floats, in discovery order
     zeros = []
     unresolved = []
@@ -519,51 +569,63 @@ def kts_solve(f, config=None):
     skipped_subsumed = 0
     trace = log.isEnabledFor(logging.DEBUG)
 
-    while queue:
-        patch, grid = queue.popleft()
-        patches_examined += 1
-        smallest_width = min(smallest_width, 2.0 * patch.half_width)
+    while len(grids):
+        points = centres.tolist()
+        patches_examined += len(points)
+        smallest_width = 2.0 * hw
+        screened = _excluded_by_one_component(f.basis, grids)
+        primed = False
+        kept = []
 
-        if balls and _covered(balls, patch):
-            skipped_subsumed += 1
-            if trace:
-                log.debug("patch %s subsumed by certified ball", patch)
-            continue
+        for i, ((u0, v0), by_screen) in enumerate(zip(points, screened.tolist())):
+            if balls and _covered(balls, u0, v0, hw):
+                skipped_subsumed += 1
+                if trace:
+                    log.debug("patch %s subsumed by certified ball", Patch((u0, v0), hw))
+                continue
 
-        if exclusion_test(f, patch, _grid=grid):
-            exclusion_passes += 1
-            if trace:
-                log.debug("patch %s excluded", patch)
-            continue
+            patch = None if by_screen else _unchecked(Patch, center=(u0, v0), half_width=hw)
+            if patch is None or exclusion_test(f, patch, _grid=grids[i]):
+                exclusion_passes += 1
+                if trace:
+                    log.debug("patch %s excluded", Patch((u0, v0), hw))
+                continue
 
-        outcome = kantorovich_test(f, patch, _frame=fr)
-        if outcome.passed:
-            kantorovich_passes += 1
-            result = newton(f, patch.center, cfg, _frame=fr)
-            if result is not None:
-                location, iterations = result
-                lu, lv = float(location[0]), float(location[1])
-                known = any(
-                    max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9)
-                    for bu, bv, r in balls
-                )
-                if not known:
-                    radius, omega = rho_star(f, location, _frame=fr)
-                    balls.append((lu, lv, radius))
-                    zeros.append(ZeroRecord(location, radius, omega, iterations))
-                    log.info(
-                        "zero at (%.12g, %.12g), uniqueness radius %.3g",
-                        location[0],
-                        location[1],
-                        radius,
+            if not primed:  # the first Kantorovich patch of this depth
+                fr.prime(centres[i:][~screened[i:]])
+                primed = True
+            outcome = kantorovich_test(f, patch, _frame=fr)
+            if outcome.passed:
+                kantorovich_passes += 1
+                result = newton(f, patch.center, cfg, _frame=fr)
+                if result is not None:
+                    location, iterations = result
+                    lu, lv = float(location[0]), float(location[1])
+                    known = any(
+                        max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9)
+                        for bu, bv, r in balls
                     )
+                    if not known:
+                        radius, omega = rho_star(f, location, _frame=fr)
+                        balls.append((lu, lv, radius))
+                        zeros.append(ZeroRecord(location, radius, omega, iterations))
+                        log.info(
+                            "zero at (%.12g, %.12g), uniqueness radius %.3g",
+                            location[0],
+                            location[1],
+                            radius,
+                        )
 
-        if patch.half_width / 2.0 >= cfg.min_half_width:
-            queue.extend(zip(patch.subdivide(), subdivide_grid(grid, halve_u, halve_v)))
-        elif balls and _covered(balls, patch):  # by a ball certified at this patch
-            skipped_subsumed += 1
-        else:
-            unresolved.append(patch)
+            if hw / 2.0 >= cfg.min_half_width:
+                kept.append(i)
+            elif balls and _covered(balls, u0, v0, hw):  # by a ball certified at this patch
+                skipped_subsumed += 1
+            else:
+                unresolved.append(patch)
+
+        hw /= 2.0
+        grids = subdivide_grid(grids[kept], halve_u, halve_v).reshape(-1, *grids.shape[1:])
+        centres = (centres[kept, None] + hw * _CHILD_OFFSETS).reshape(-1, 2)
 
     if unresolved:
         log.warning(
@@ -596,7 +658,7 @@ def condition_estimate(f, zeros):
     """
     if not zeros:
         return None
-    fr = _Frame(f)
+    fr = _Frame(_unit_scaled(f))
     ts = fr.canon(np.linspace(0.0, 1.0, GRID_DENSITY))
     # F'(y) at every grid point, (u, v, 2, 2), from columns 2-5 of the frame's grid
     grid = eval_bi_grid(fr.value_jacobian_system, ts, ts)
@@ -610,6 +672,6 @@ def condition_estimate(f, zeros):
             return math.inf
         grid_max = float(np.max(np.abs(inv @ jac).sum(axis=-1)))
         grid_max = max(1.0, grid_max)  # the zero itself contributes identity
-        omega_box = lipschitz_bound(f, inv, square, _frame=fr)
+        omega_box = lipschitz_bound(fr.f, inv, square, _frame=fr)
         worst = max(worst, record.omega_star, omega_box, grid_max)
     return worst

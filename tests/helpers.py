@@ -2,13 +2,15 @@
 
 import math
 import os
+from collections import deque
 
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
 import ktsolve
 from ktsolve import Basis, BivariateSystem, kernels, solver
-from ktsolve.basis import eval_bi, eval_bi_grid
+from ktsolve.basis import eval_bi, eval_bi_grid, halving_matrices
+from ktsolve.reparam import Patch, reparametrize, subdivide_grid
 
 ORACLE_NEWTON_STEPS = 50
 
@@ -212,3 +214,79 @@ def kantorovich_patches(f):
 def sorted_zero_locations(report):
     locs = [np.asarray(z.location, dtype=float) for z in report.zeros]
     return sorted(locs, key=lambda p: (p[0], p[1]))
+
+
+def reference_kts_solve(f, config=None):
+    """kts_solve as a queue of single patches: the search it replaced,
+    which took one patch at a time from a FIFO queue and decided it
+    alone. Every decision goes through the solver's own tests, called
+    per patch in FIFO order, and logs the solver's lines, so
+    kts_solve(f, config) must give the same report and the same log."""
+    cfg = config or solver.SolverConfig()
+    f = solver._unit_scaled(f)
+    fr = solver._Frame(f)
+    halve_u = halving_matrices(f.basis, f.degree_u)
+    halve_v = halving_matrices(f.basis, f.degree_v)
+    root = Patch((0.5, 0.5), 0.5)
+    queue = deque([(root, reparametrize(f, fr.canon_patch(root)).coeffs)])
+    balls, zeros, unresolved = [], [], []
+    examined = excluded = certified = subsumed = 0
+    smallest_width = math.inf
+
+    def covered(patch):
+        (u0, v0), hw = patch.center, patch.half_width
+        return any(max(abs(u0 - bu), abs(v0 - bv)) + hw <= r for bu, bv, r in balls)
+
+    while queue:
+        patch, grid = queue.popleft()
+        examined += 1
+        smallest_width = min(smallest_width, 2.0 * patch.half_width)
+        if covered(patch):
+            subsumed += 1
+            solver.log.debug("patch %s subsumed by certified ball", patch)
+            continue
+        if solver._excluded_by_one_component(f.basis, grid) or solver.exclusion_test(
+            f, patch, _grid=grid
+        ):
+            excluded += 1
+            solver.log.debug("patch %s excluded", patch)
+            continue
+        if solver.kantorovich_test(f, patch, _frame=fr).passed:
+            certified += 1
+            result = solver.newton(f, patch.center, cfg, _frame=fr)
+            if result is not None:
+                location, iterations = result
+                lu, lv = float(location[0]), float(location[1])
+                if not any(
+                    max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9) for bu, bv, r in balls
+                ):
+                    radius, omega = solver.rho_star(f, location, _frame=fr)
+                    balls.append((lu, lv, radius))
+                    zeros.append(solver.ZeroRecord(location, radius, omega, iterations))
+                    solver.log.info(
+                        "zero at (%.12g, %.12g), uniqueness radius %.3g",
+                        location[0],
+                        location[1],
+                        radius,
+                    )
+        if patch.half_width / 2.0 >= cfg.min_half_width:
+            queue.extend(zip(patch.subdivide(), subdivide_grid(grid, halve_u, halve_v)))
+        elif covered(patch):
+            subsumed += 1
+        else:
+            unresolved.append(patch)
+
+    if unresolved:
+        solver.log.warning(
+            "%d patches hit the width floor without certification", len(unresolved)
+        )
+    lo, hi = -solver._REPORT_SLACK, 1.0 + solver._REPORT_SLACK
+    return solver.SolveReport(
+        zeros=[z for z in zeros if lo <= z.location[0] <= hi and lo <= z.location[1] <= hi],
+        patches_examined=examined,
+        smallest_width=smallest_width,
+        exclusion_passes=excluded,
+        kantorovich_passes=certified,
+        skipped_subsumed=subsumed,
+        unresolved=unresolved,
+    )

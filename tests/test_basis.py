@@ -142,6 +142,15 @@ def bernstein_direct(c, t):
     )
 
 
+def signed_zero_grid(rng, shape):
+    """Random entries with about a fifth +0.0 and a tenth -0.0."""
+    c = rng.standard_normal(shape)
+    draw = rng.random(shape)
+    c[draw < 0.2] = 0.0
+    c[draw > 0.9] = -0.0
+    return c
+
+
 class TestEvaluation:
     def test_power_matches_numpy(self):
         """Horner evaluation agrees with numpy's polyval."""
@@ -211,6 +220,26 @@ class TestEvaluation:
             for i, u in enumerate(us):
                 for j, v in enumerate(vs):
                     assert np.max(np.abs(grid[i, j] - eval_bi(f, u, v))) < 1e-12
+
+    def test_point_arrays_match_single_points(self):
+        """eval_bi at arrays of P points gives (P, d) rows, each with the
+        bits of eval_bi at that point alone, signed zeros included, in
+        every basis at degrees 0-6."""
+        rng = np.random.default_rng(17)
+        for basis in BASES:
+            lo, hi = basis.domain
+            edge = [lo, hi, 0.0, -0.0, 0.5 * (lo + hi)]
+            for m, n in itertools.product(range(7), repeat=2):
+                for d in (1, 2, 12):
+                    c = signed_zero_grid(rng, (m + 1, n + 1, d))
+                    f = BivariateSystem(basis, c)
+                    u = np.concatenate([edge, rng.uniform(lo, hi, 6)])
+                    v = np.concatenate([rng.uniform(lo, hi, 6), edge[::-1]])
+                    got = eval_bi(f, u, v)
+                    assert got.shape == (len(u), d)
+                    for k in range(len(u)):
+                        one = np.asarray(eval_bi(f, u[k], v[k]), dtype=np.float64)
+                        assert got[k].tobytes() == one.reshape(d).tobytes(), (basis, m, n, k)
 
     def test_partition_of_unity(self):
         """Bernstein basis functions sum to 1 everywhere on [0, 1]."""

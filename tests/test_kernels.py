@@ -24,6 +24,23 @@ class TestKernelValues:
             got = kernels.decasteljau_cols(t, np.ascontiguousarray(c))
             assert np.allclose(got, weights @ c, rtol=1e-10, atol=1e-10)
 
+    def test_decasteljau_point_arrays_match_single_points(self):
+        """An array t gives each point the bits that t alone gives: with
+        tensor, its axes follow c's; without, it pairs with c's last axis."""
+        rng = np.random.default_rng(2)
+        for n in range(7):
+            c = rng.standard_normal((n + 1, 3))
+            c[rng.random(c.shape) < 0.3] = -0.0
+            ts = np.concatenate([[0.0, -0.0, 1.0, 0.5], rng.uniform(-0.2, 1.2, 4)])
+            tensor = kernels.decasteljau_cols(ts, c)
+            assert tensor.shape == (3, len(ts))
+            paired = kernels.decasteljau_cols(ts[:3], c, tensor=False)
+            for k, t in enumerate(ts):
+                one = kernels.decasteljau_cols(t, c)
+                assert tensor[:, k].tobytes() == one.tobytes(), (n, t)
+                if k < 3:
+                    assert paired[k].tobytes() == one[k].tobytes(), (n, t)
+
     def test_power_affine_is_exact_composition(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

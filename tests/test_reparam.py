@@ -291,6 +291,29 @@ class TestHalving:
                         want = reparametrize(f, canon_patch(basis, child)).coeffs
                         assert np.max(np.abs(kid - want)) <= 1e-14 * scale
 
+    def test_stack_matches_each_grid(self):
+        """A stack of grids, with one or two leading axes, gives every
+        grid's children with the bits that grid alone gets, signed zeros
+        included, in every basis at degrees 0-6."""
+        rng = np.random.default_rng(63)
+        for basis in BASES:
+            for m in range(7):
+                for n in range(7):
+                    halve_u = halving_matrices(basis, m)
+                    halve_v = halving_matrices(basis, n)
+                    grids = rng.standard_normal((2, 3, m + 1, n + 1, 2))
+                    draw = rng.random(grids.shape)
+                    grids[draw < 0.2] = 0.0
+                    grids[draw > 0.9] = -0.0
+                    want = np.array(
+                        [[subdivide_grid(g, halve_u, halve_v) for g in row] for row in grids]
+                    )
+                    got = subdivide_grid(grids, halve_u, halve_v)
+                    assert got.shape == (2, 3, 4, m + 1, n + 1, 2)
+                    assert got.tobytes() == want.tobytes(), (basis, m, n)
+                    flat = subdivide_grid(grids.reshape(6, m + 1, n + 1, 2), halve_u, halve_v)
+                    assert flat.tobytes() == want.tobytes(), (basis, m, n)
+
     def test_chained_halvings_stay_close_to_direct(self):
         """40 random halvings in a row drift by at most 1e-13 of max |c|."""
         rng = np.random.default_rng(62)

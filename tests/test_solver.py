@@ -325,8 +325,9 @@ class TestExclusion:
         assert exclusion_test(unit_power_system(grid), FULL)
 
     def test_one_component_test_agrees_with_enclosure(self):
-        """exclusion_test decides from one component's signs or axis sums
-        where it can, and gives the enclosure's answer on every grid."""
+        """The one-component test (one component's signs or axis sums)
+        excludes only grids that the enclosure excludes, and exclusion_test
+        gives the enclosure's answer on every grid."""
         rng = np.random.default_rng(86)
         for basis in BASES:
             f = BivariateSystem(basis, np.zeros((1, 1, 2)))  # only its basis is read
@@ -339,6 +340,7 @@ class TestExclusion:
                 want = enclosure_excludes(basis, g)
                 assert exclusion_test(f, FULL, _grid=g) == want, (basis, g.tolist())
                 if _excluded_by_one_component(basis, g):
+                    assert want, (basis, g.tolist())
                     early += 1
                 elif want:
                     late += 1
@@ -346,6 +348,29 @@ class TestExclusion:
             for g in degenerate_grids():
                 want = enclosure_excludes(basis, g)
                 assert exclusion_test(f, FULL, _grid=g) == want, (basis, g.tolist())
+                assert want or not _excluded_by_one_component(basis, g), (basis, g.tolist())
+
+    def test_screen_of_a_stack_matches_each_grid(self):
+        """_excluded_by_one_component on a stack of grids gives each grid's
+        own answer, in every basis at degrees 0-6, with exact ties and
+        signed zeros."""
+        rng = np.random.default_rng(87)
+        for basis in BASES:
+            for m in range(7):
+                for n in range(7):
+                    g = rng.standard_normal((40, m + 1, n + 1, 2)) + rng.uniform(-3.0, 3.0, 2)
+                    g[::2] = np.round(g[::2])
+                    draw = rng.random(g.shape)
+                    g[draw < 0.2] = 0.0
+                    g[draw > 0.9] = -0.0
+                    got = _excluded_by_one_component(basis, g)
+                    want = [bool(_excluded_by_one_component(basis, one)) for one in g]
+                    assert got.tolist() == want, (basis, m, n)
+                    nested = _excluded_by_one_component(basis, g.reshape(4, 10, m + 1, n + 1, 2))
+                    assert nested.reshape(-1).tolist() == want, (basis, m, n)
+            stack = np.array([d for d in degenerate_grids() if d.shape == (2, 2, 2)])
+            want = [bool(_excluded_by_one_component(basis, one)) for one in stack]
+            assert _excluded_by_one_component(basis, stack).tolist() == want, basis
 
     def test_soundness_against_grid(self):
         """An excluded patch never contains a small value of F."""
@@ -998,20 +1023,29 @@ class TestKtsSolve:
             assert calls["lipschitz_bound"] == calls["non-singular"], basis
             assert calls["bounding_interval_bi"] == 0, basis
 
-    def test_near_coincident_evaluates_once_per_kantorovich_test(self, monkeypatch):
-        """On the near-coincident system each Kantorovich test costs one
-        evaluation of the frame's grid, which also gives the centre's
+    def test_near_coincident_evaluates_once_per_depth(self, monkeypatch):
+        """On the near-coincident system each depth that reaches a
+        Kantorovich test evaluates the frame's grid once, at an array of
+        centres, and each centre's values have the bits of an evaluation
+        at that centre alone. That one evaluation also gives each centre's
         curvature, and no basis conversion runs inside the solve."""
         import ktsolve.solver
 
         calls = Counter()
+        depths = set()
+        evaluations = []
 
         def counting(name):
             fn = getattr(ktsolve.solver, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                if name == "kantorovich_test":
+                    depths.add(args[1].half_width)
+                elif name == "eval_bi":
+                    evaluations.append((args, result))
+                return result
 
             return counted
 
@@ -1020,10 +1054,16 @@ class TestKtsSolve:
         for basis in BASES:
             f = convert(near_coincident_system(), basis)
             calls.clear()
+            depths.clear()
+            evaluations.clear()
             kts_solve(f)
-            assert calls["kantorovich_test"] > 0, basis
-            assert calls["eval_bi"] == calls["kantorovich_test"], (basis, calls)
+            assert calls["kantorovich_test"] > 2 * len(depths) > 2, (basis, calls)
+            assert calls["eval_bi"] == len(depths), (basis, calls)
             assert calls["convert"] == calls["conversion_matrix"] == 0, (basis, calls)
+            for (system, u, v), out in evaluations:
+                assert out.shape == (len(u), 12)
+                for k in range(len(u)):
+                    assert out[k].tobytes() == eval_bi(system, u[k], v[k]).tobytes(), basis
 
     def test_warm_matrix_caches_change_no_solve(self):
         """A solve that builds its conversion and halving matrices and one
@@ -1186,6 +1226,27 @@ class TestConditionEstimate:
         c[0, 0] = (1.0, 1.0)
         f = BivariateSystem(Basis.POWER, c)
         assert condition_estimate(f, kts_solve(f).zeros) is None
+
+    @pytest.mark.parametrize("s", [1.7e308, 1e-300])
+    def test_extreme_magnitude_estimates_as_unit_scale(self, s):
+        """condition_estimate scales F by a power of two first, as kts_solve
+        does: a grid of entries +-s near either float limit gives the
+        estimate of the same grid scaled to unit size bit for bit, and the
+        +-1 grid's up to rounding, with no warning."""
+        signs = np.where(np.random.default_rng(0).random((4, 4, 2)) < 0.5, -1.0, 1.0)
+        cfg = SolverConfig(min_half_width=2**-8)
+
+        def estimate(c):
+            f = BivariateSystem(Basis.CHEBYSHEV, c)
+            return condition_estimate(f, kts_solve(f, cfg).zeros)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            unit = estimate(signs)
+            got = estimate(s * signs)
+            want = estimate(np.ldexp(s * signs, -math.frexp(s)[1]))
+        assert got == want
+        assert 3e4 < unit < 4e4 and abs(got - unit) <= 1e-12 * unit
 
     def test_dominates_omega_star(self):
         rng = np.random.default_rng(82)

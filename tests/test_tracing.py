@@ -110,3 +110,24 @@ def test_near_coincident_solve_reaches_every_traced_function():
         report = ktsolve.kts_solve(ktsolve.convert(f, basis))
         assert not report.zeros and not report.unresolved, basis
     assert not uncalled(required, f)
+
+
+def test_near_coincident_trace_records_outcomes():
+    """A traced near-coincident solve records exclusion_test outcomes, some
+    of them exclusions, and kantorovich_test outcomes: the self-test needs
+    `solver.exclusion_test.excluded_ratio` above 0 there. The solver's
+    one-component screen decides most exclusions without calling
+    exclusion_test, so a change that decided every exclusion that way
+    would otherwise fail only in the benchmark."""
+    assert "solver.exclusion_test.excluded_ratio" not in selftest_constant("MAY_BE_ZERO")
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for basis in ktsolve.Basis:
+            ktsolve.kts_solve(ktsolve.convert(near_coincident_system(), basis))
+    finally:
+        tracer.uninstall()
+    calls = {name: count for name, (count, _, _) in tracer.totals().items()}
+    assert calls["solver.exclusion_test"] > tracer.counts["solver.exclusion_test.excluded"] > 0
+    assert calls["solver.kantorovich_test"] > 0
+    assert "solver.kantorovich_test.passed" in tracer.counts
