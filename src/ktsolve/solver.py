@@ -23,10 +23,12 @@ restriction layer); a depth's splits derive all children's grids from
 their parents' in one batch, with the exact per-axis
 basis.halving_matrices. Certified zeros carry a radius rho_star within
 which they are the only zero, which both deduplicates rediscovery and
-lets later patches be skipped wholesale. The work that needs no earlier
-decision (screening the grids, evaluating the centres, halving) is done
-for a whole depth at once; every decision and count is taken patch by
-patch in FIFO order, so the batching changes no result.
+lets later patches be skipped wholesale; it is read in closed form off
+the Kantorovich test that certified the zero, so it costs no evaluation.
+The work that needs no earlier decision (screening the grids, evaluating
+the centres, halving) is done for a whole depth at once; every decision
+and count is taken patch by patch in FIFO order, so the batching changes
+no result.
 """
 
 import logging
@@ -58,10 +60,7 @@ log = logging.getLogger("ktsolve.solver")
 _SINGULAR_REL = 1e-14
 _CAP_REL = 1e-6
 _REPORT_SLACK = 1e-9
-_RHO_REL_WIDTH = 1e-6
-RHO_CAP = 4.0
 NEWTON_MAX_ITERS = 50
-RHO_SEARCH_ITERS = 60
 GRID_DENSITY = 33
 
 
@@ -88,16 +87,18 @@ class SolverConfig:
 class KantorovichOutcome:
     """The verdict of kantorovich_test and the numbers it rests on.
 
-    passed: eta * omega <= 1/4 and ball_in_dprime.
+    passed: eta * omega <= 1/4, ball_in_dprime and rho_minus <= radius.
     eta: max-norm of the first Newton step J^-1 F(x0) from the centre x0.
-    omega: Lipschitz bound of y -> J^-1 F'(y) over the gamma-enlarged
-        patch. For a failure decided at the centre it is omega_0, the same
-        row sum at x0 alone: a lower bound on the enclosure bound that
-        already gives eta * omega > 1/4.
+    omega: Lipschitz bound of y -> J^-1 F'(y) over the square ball of
+        half-width radius about x0. For a failure decided at the centre it
+        is omega_0, the same row sum at x0 alone: a lower bound on the
+        enclosure bound that already gives eta * omega > 1/4.
     rho_minus: the Kantorovich radius (1 - sqrt(1 - 2 eta omega)) / omega;
         eta when omega = 0, inf when eta * omega > 1/2.
     ball_in_dprime: the ball of radius rho_minus about x0 lies in the
         gamma-enlarged unit square.
+    radius: R = 2 gamma times the patch's half-width, the half-width of
+        the ball about x0 that omega covers.
 
     rho_minus and ball_in_dprime follow from the omega reported. A
     singular Jacobian gives eta = omega = rho_minus = inf and fails.
@@ -108,6 +109,7 @@ class KantorovichOutcome:
     omega: float
     rho_minus: float
     ball_in_dprime: bool
+    radius: float
 
 
 @dataclass
@@ -141,7 +143,7 @@ class _Frame:
     unit frame with no further factor. Built once per system and read at
     every patch: the grid [f, f_u, f_v, f_uu, f_uv, f_vv] that one eval_bi
     call evaluates, at a point or (prime) at an array of points, and the
-    power-form second partials behind lipschitz_at's enclosures. Values
+    power-form second partials behind lipschitz_bound's enclosures. Values
     are kept per point until the next prime, so value_and_jacobian and
     curvature_at at one centre share one evaluation.
     """
@@ -222,40 +224,11 @@ class _Frame:
             back_vt[k, 0, :n1, :n1] = conversion_matrix(Basis.POWER, basis, n1 - 1).T
         return partials, expo, back_u, back_vt
 
-    def lipschitz_at(self, jac_inv, center):
-        """Lipschitz bound of y -> jac_inv @ F'(y) over square balls about
-        a unit-square point, as a function of the ball's half-width r.
-
-        The partials are mixed with jac_inv and Taylor-shifted to the
-        centre once, here, into a (3 partials, 2 rows, M, N) stack. Each
-        radius then scales coefficient (i, j) by (2r)^(i+j), takes the
-        whole stack back to the system's basis with two batched products,
-        and bounds all six grids with one bounding_interval_bi call, the
-        same enclosure a restriction to the ball would get. Row i's bound
-        is |F_uu| + 2|F_uv| + |F_vv| of its enclosure magnitudes.
-        """
-        partials, expo, back_u, back_vt = self.taylor_base
-        t0 = 2.0 * np.asarray(center, dtype=np.float64) - 1.0
-        # (3, 1, 2, M, N) * (2 rows, 2 components, 1, 1), summed over components
-        mixed = (np.asarray(jac_inv)[:, :, None, None] * partials).sum(axis=2)
-        shift_u = taylor_shift(expo.shape[2], t0[0])
-        shift_v = taylor_shift(expo.shape[3], t0[1])
-        shifted = shift_u @ mixed @ shift_v.T  # (partial, row of jac_inv, i, j)
-        basis = self.f.basis
-
-        def bound(r):
-            c = back_u @ (shifted * (2.0 * r) ** expo) @ back_vt
-            lo, hi = bounding_interval_bi(basis, c)
-            mag = np.maximum(np.abs(lo), np.abs(hi))
-            return float(np.max(mag[0] + 2.0 * mag[1] + mag[2]))
-
-        return bound
-
     def curvature_at(self, jac_inv, center):
         """omega_0: |a_uu| + 2|a_uv| + |a_vv| of a = jac_inv F'' at a
         unit-square point, maximised over the rows of jac_inv.
 
-        The same row sum lipschitz_at encloses over a ball, taken at its
+        The same row sum lipschitz_bound encloses over a ball, taken at its
         centre, so no ball's bound is below it (in exact arithmetic). F''
         is the last six values of the evaluation value_and_jacobian made
         at the same point, in the system's own basis; jac_inv mixes their
@@ -392,6 +365,14 @@ def lipschitz_bound(f, jac_inv, ball, *, _frame=None, _cap=math.inf):
     Everything here is in the unit-square frame: the ball, the Jacobian
     inverse (of F'), and the returned constant.
 
+    The frame's power-form partials (_Frame.taylor_base) are mixed with
+    jac_inv, Taylor-shifted to the ball's centre and scaled for its
+    half-width r, coefficient (i, j) by (2r)^(i+j). Two batched products
+    take the (3 partials, 2 rows, M, N) stack back to the system's basis,
+    and one bounding_interval_bi call bounds all six grids, the same
+    enclosure a restriction to the ball would get. Row i's bound is
+    |F_uu| + 2|F_uv| + |F_vv| of its enclosure magnitudes.
+
     _cap, when finite, lets a caller that only asks whether the bound
     exceeds it skip the enclosure: the same row sum at the ball's centre,
     omega_0, is computed first, and when omega_0 > _cap it is returned,
@@ -403,16 +384,28 @@ def lipschitz_bound(f, jac_inv, ball, *, _frame=None, _cap=math.inf):
         omega0 = fr.curvature_at(jac_inv, ball.center)
         if omega0 > _cap:
             return omega0
-    return fr.lipschitz_at(jac_inv, ball.center)(ball.half_width)
+    partials, expo, back_u, back_vt = fr.taylor_base
+    t0 = 2.0 * np.asarray(ball.center, dtype=np.float64) - 1.0
+    # (3, 1, 2, M, N) * (2 rows, 2 components, 1, 1), summed over components
+    mixed = (np.asarray(jac_inv)[:, :, None, None] * partials).sum(axis=2)
+    shift_u = taylor_shift(expo.shape[2], t0[0])
+    shift_v = taylor_shift(expo.shape[3], t0[1])
+    shifted = shift_u @ mixed @ shift_v.T  # (partial, row of jac_inv, i, j)
+    c = back_u @ (shifted * (2.0 * ball.half_width) ** expo) @ back_vt
+    lo, hi = bounding_interval_bi(fr.f.basis, c)
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    return float(np.max(mag[0] + 2.0 * mag[1] + mag[2]))
 
 
 def kantorovich_test(f, x, *, _frame=None):
     """Affine-invariant convergence test for Newton from the patch center.
 
-    Passes when eta * omega <= 1/4 and the certified ball around the
-    center stays inside the gamma-enlarged unit square, where eta bounds
-    the first Newton step and omega the Jacobian's relative Lipschitz
-    constant over the enlarged patch. lipschitz_bound is capped at
+    omega bounds the Jacobian's relative Lipschitz constant over the
+    ball of half-width R = 2 gamma hw about the centre, hw the patch's
+    half-width, and eta bounds the first Newton step. The test passes
+    when eta * omega <= 1/4, the Kantorovich ball of radius rho_minus
+    lies in that ball (the theorem's premise) and also in the
+    gamma-enlarged unit square. lipschitz_bound is capped at
     (1 + _CAP_REL) / (4 eta): when the curvature at the centre alone,
     omega_0 from the one evaluation that gave eta, already exceeds that,
     the test fails with omega = omega_0 and no enclosure is built. That
@@ -422,14 +415,14 @@ def kantorovich_test(f, x, *, _frame=None):
     """
     fr = _frame or _Frame(f)
     u0, v0 = x.center
+    radius = 2.0 * fr.gamma * x.half_width
     val, jac = fr.value_and_jacobian(x.center)
     inv = _inv2(jac)
     if inv is None:
-        return KantorovichOutcome(False, math.inf, math.inf, math.inf, False)
+        return KantorovichOutcome(False, math.inf, math.inf, math.inf, False, radius)
     eta = float(np.max(np.abs(inv @ val)))
     cap = (1.0 + _CAP_REL) / (4.0 * eta) if eta > 0.0 else math.inf
-    ball = Patch(x.center, 2.0 * fr.gamma * x.half_width)
-    omega = lipschitz_bound(f, inv, ball, _frame=fr, _cap=cap)
+    omega = lipschitz_bound(f, inv, Patch(x.center, radius), _frame=fr, _cap=cap)
     h = eta * omega
     if omega == 0.0:
         rho_minus = eta
@@ -440,7 +433,8 @@ def kantorovich_test(f, x, *, _frame=None):
     inside = (
         min(u0, v0) - rho_minus >= -fr.gamma and max(u0, v0) + rho_minus <= 1.0 + fr.gamma
     )
-    return KantorovichOutcome(h <= 0.25 and inside, eta, omega, rho_minus, inside)
+    passed = h <= 0.25 and inside and rho_minus <= radius
+    return KantorovichOutcome(passed, eta, omega, rho_minus, inside, radius)
 
 
 def newton(f, x0, config=None, *, _frame=None):
@@ -471,39 +465,36 @@ def newton(f, x0, config=None, *, _frame=None):
     return None
 
 
-def rho_star(f, zero, *, _frame=None):
+def rho_star(x, outcome, zero):
     """Radius of certified uniqueness around a zero, with its omega.
 
-    Solves rho * omega_hat(rho) = 2 by bisection on [0, RHO_CAP], until
-    the bracket's width is at most 1e-6 of its lower end or
-    RHO_SEARCH_ITERS steps have run, and returns that lower end: the
-    largest radius the test accepted, so rho * omega <= 2 holds as
-    computed. When even the cap's ball has omega small enough (or zero,
-    for affine systems) the cap itself is returned. The Taylor shift to
-    the zero is built once and serves every radius of the search.
+    x is the patch whose passing Kantorovich test, outcome, certified the
+    zero, and zero is where Newton from x's centre x0 stopped. The
+    theorem's uniqueness clause (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004, ch. 2) allows at most one zero in the open ball about
+    x0 of radius rho_plus = (1 + sqrt(1 - 2 eta omega)) / omega (inf when
+    omega = 0) within the closed ball of radius R = outcome.radius, where
+    omega holds; a quadratic has its second zero at rho_plus exactly. The
+    ball about zero of radius r = min(rho_plus, R) - d, d = |zero - x0|,
+    lies in that region, so it holds no zero but this one. r is returned
+    with omega as its omega*: the largest float below rho_plus - d where
+    rho_plus <= R, so that the closed ball is inside the open one, and
+    R - d otherwise. r * omega <= 1 + sqrt(1 - 2 eta omega) <= 2; r is
+    lowered by ulps where rounding leaves the product above 2, so that
+    r * omega <= 2 holds as computed.
     """
-    fr = _frame or _Frame(f)
-    x = np.asarray(zero, dtype=np.float64)
-    inv = _inv2(fr.value_and_jacobian(x)[1])
-    if inv is None:
-        raise ValueError("Jacobian is singular at the zero")
-    omega_hat = fr.lipschitz_at(inv, x)
-    w_cap = omega_hat(RHO_CAP)
-    if w_cap == 0.0 or RHO_CAP * w_cap <= 2.0:
-        return RHO_CAP, w_cap
-    lo, hi, w_lo = 0.0, RHO_CAP, None
-    for _ in range(RHO_SEARCH_ITERS):
-        if hi - lo <= _RHO_REL_WIDTH * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        w = omega_hat(mid)
-        if w == 0.0 or mid * w < 2.0:
-            lo, w_lo = mid, w
-        else:
-            hi = mid
-    if w_lo is None:  # no positive radius passed within the step cap
-        w_lo = omega_hat(0.0)
-    return lo, w_lo
+    if not outcome.passed:
+        raise ValueError("rho_star needs a passing Kantorovich test")
+    omega, radius = outcome.omega, outcome.radius
+    rho_plus = (
+        (1.0 + math.sqrt(1.0 - 2.0 * outcome.eta * omega)) / omega if omega else math.inf
+    )
+    (u0, v0), (lu, lv) = x.center, zero
+    d = max(abs(lu - u0), abs(lv - v0))
+    r = max(0.0, math.nextafter(rho_plus - d, 0.0) if rho_plus <= radius else radius - d)
+    while r * omega > 2.0:
+        r = math.nextafter(r, 0.0)
+    return r, omega
 
 
 def _covered(balls, u0, v0, hw):
@@ -536,9 +527,9 @@ def kts_solve(f, config=None):
     1. one _excluded_by_one_component call screens every grid;
     2. a FIFO pass takes every decision and every count in the order of
        the one-patch-at-a-time search: subsumption by the balls certified
-       so far (also earlier in the same depth), exclusion (the screen's
-       bit, else exclusion_test on the grid), Kantorovich, Newton and
-       rho_star, and the split or the width floor;
+       so far, exclusion (the screen's bit, else exclusion_test on the
+       grid), Kantorovich, Newton and rho_star, and the split or the
+       width floor;
     3. at the depth's first Kantorovich test, one _Frame.prime call
        evaluates every centre from there on that the screen left open,
        so kantorovich_test and Newton's first step evaluate nothing;
@@ -546,9 +537,11 @@ def kts_solve(f, config=None):
        centres are the parents' plus or minus the new half-width: the
        dyadic (2i+1) 2**-(k+1) at depth k, exact for k < 53.
 
-    Steps 1 and 3 only save work: a patch the screen left open may still
-    be subsumed by a ball certified earlier in its depth, and a primed
-    centre need never be asked for.
+    Steps 1 and 3 only save work: a patch subsumed by a ball is screened
+    for nothing, and a primed centre need never be asked for. A ball
+    certified at a depth covers no other patch of that depth (rho_star <=
+    2 gamma hw - d with gamma < 1.06), but a later patch's Newton may land
+    on its zero, which is then known.
     """
     cfg = config or SolverConfig()
     f = _unit_scaled(f)
@@ -606,7 +599,7 @@ def kts_solve(f, config=None):
                         for bu, bv, r in balls
                     )
                     if not known:
-                        radius, omega = rho_star(f, location, _frame=fr)
+                        radius, omega = rho_star(patch, outcome, (lu, lv))
                         balls.append((lu, lv, radius))
                         zeros.append(ZeroRecord(location, radius, omega, iterations))
                         log.info(

@@ -211,6 +211,25 @@ def kantorovich_patches(f):
     return patches
 
 
+def certified_balls(f):
+    """kts_solve(f)'s report, and the arguments (patch, outcome, zero) of
+    every rho_star call it makes, in order, recorded by wrapping the
+    solver's binding for that one solve."""
+    calls = []
+    radius = solver.rho_star
+
+    def recording(x, outcome, zero):
+        calls.append((x, outcome, zero))
+        return radius(x, outcome, zero)
+
+    solver.rho_star = recording
+    try:
+        report = solver.kts_solve(f)
+    finally:
+        solver.rho_star = radius
+    return report, calls
+
+
 def sorted_zero_locations(report):
     locs = [np.asarray(z.location, dtype=float) for z in report.zeros]
     return sorted(locs, key=lambda p: (p[0], p[1]))
@@ -251,7 +270,8 @@ def reference_kts_solve(f, config=None):
             excluded += 1
             solver.log.debug("patch %s excluded", patch)
             continue
-        if solver.kantorovich_test(f, patch, _frame=fr).passed:
+        outcome = solver.kantorovich_test(f, patch, _frame=fr)
+        if outcome.passed:
             certified += 1
             result = solver.newton(f, patch.center, cfg, _frame=fr)
             if result is not None:
@@ -260,7 +280,7 @@ def reference_kts_solve(f, config=None):
                 if not any(
                     max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9) for bu, bv, r in balls
                 ):
-                    radius, omega = solver.rho_star(f, location, _frame=fr)
+                    radius, omega = solver.rho_star(patch, outcome, (lu, lv))
                     balls.append((lu, lv, radius))
                     zeros.append(solver.ZeroRecord(location, radius, omega, iterations))
                     solver.log.info(

@@ -47,21 +47,29 @@ def test_matches_per_patch_search(name):
     assert solve_signature(kts_solve(f, config)) == solve_signature(reference_kts_solve(f, config))
 
 
-def subsumed_by_own_depth(f, monkeypatch):
-    """Patches that reference_kts_solve(f) skips because of a ball
-    certified at their own depth, and that no ball from an earlier depth
-    covers: with the balls frozen at each depth's start, each would be
-    tested instead. Read off the order of its kantorovich_test and
-    rho_star calls and its subsumption log lines."""
+def own_depth_ball_uses(f, monkeypatch):
+    """How reference_kts_solve(f) uses balls certified at the depth it is
+    working on, when no ball from an earlier depth would do: the patches
+    it skips as subsumed by such a ball, and the Newton results it takes
+    as known because of one. With the balls frozen at each depth's start,
+    each subsumed patch would be tested instead, and each known result
+    would be reported again. Read off the order of its kantorovich_test,
+    newton and rho_star calls and its subsumption log lines."""
     events = []
-    kantorovich_test, rho_star = solver.kantorovich_test, solver.rho_star
+    kantorovich_test, newton, rho_star = solver.kantorovich_test, solver.newton, solver.rho_star
 
     def kantorovich(g, x, **kwargs):
         events.append(("kantorovich", x.half_width))
         return kantorovich_test(g, x, **kwargs)
 
-    def radius(g, zero, **kwargs):
-        result = rho_star(g, zero, **kwargs)
+    def converge(g, x0, config=None, **kwargs):
+        result = newton(g, x0, config, **kwargs)
+        if result is not None:
+            events.append(("newton", (float(result[0][0]), float(result[0][1]))))
+        return result
+
+    def radius(x, outcome, zero):
+        result = rho_star(x, outcome, zero)
         events.append(("ball", (float(zero[0]), float(zero[1]), result[0])))
         return result
 
@@ -71,6 +79,7 @@ def subsumed_by_own_depth(f, monkeypatch):
                 events.append(("subsumed", record.args[0]))
 
     monkeypatch.setattr(solver, "kantorovich_test", kantorovich)
+    monkeypatch.setattr(solver, "newton", converge)
     monkeypatch.setattr(solver, "rho_star", radius)
     handler = Subsumed()
     solver.log.addHandler(handler)
@@ -86,25 +95,41 @@ def subsumed_by_own_depth(f, monkeypatch):
         (bu, bv, r), (u0, v0) = ball, patch.center
         return max(abs(u0 - bu), abs(v0 - bv)) + patch.half_width <= r
 
-    balls, found, width = [], [], None  # balls as (ball, half-width certified at)
+    def knows(ball, location):
+        (bu, bv, r), (lu, lv) = ball, location
+        return max(abs(lu - bu), abs(lv - bv)) <= max(r, 1e-9)
+
+    def own_depth(test, item, hw):
+        return any(test(b, item) for b, w in balls if w == hw) and not any(
+            test(b, item) for b, w in balls if w > hw
+        )
+
+    balls, subsumed, known, width = [], [], [], None  # balls as (ball, half-width certified at)
     for kind, item in events:
         if kind == "kantorovich":
             width = item
         elif kind == "ball":
             balls.append((item, width))
-        elif any(covers(b, item) for b, w in balls if w == item.half_width) and not any(
-            covers(b, item) for b, w in balls if w > item.half_width
-        ):
-            found.append(item)
-    return found
+        elif kind == "newton":
+            if own_depth(knows, item, width):
+                known.append(item)
+        elif own_depth(covers, item, item.half_width):
+            subsumed.append(item)
+    return subsumed, known
 
 
-def test_ball_subsumes_later_patches_of_its_own_depth(monkeypatch):
-    """A ball certified partway through a depth skips the later patches of
-    that depth that it covers, exactly as the per-patch search does."""
-    for seed, basis in ((600, Basis.POWER), (607, Basis.BERNSTEIN)):
+def test_ball_known_to_later_patches_of_its_own_depth(monkeypatch):
+    """A zero certified partway through a depth is known to the later
+    patches of that depth whose Newton lands on it, so it is reported
+    once, exactly as the per-patch search does. The ball never subsumes
+    another patch of its depth: its radius is at most R - d, R = 2 gamma
+    hw with gamma < 1.06, d the zero's distance from its patch's centre,
+    and covering a patch whose centre is 2 hw or more from that centre
+    needs a radius of at least 3 hw - d."""
+    for seed, basis in ((602, Basis.POWER), (602, Basis.CHEBYSHEV)):
         f = convert(protocol_system(seed), basis)
-        assert subsumed_by_own_depth(f, monkeypatch), (seed, basis)
+        subsumed, known = own_depth_ball_uses(f, monkeypatch)
+        assert known and not subsumed, (seed, basis)
         got, want = kts_solve(f), reference_kts_solve(f)
         assert solve_signature(got) == solve_signature(want), (seed, basis)
 

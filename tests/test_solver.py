@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from helpers import (
+    certified_balls,
     eval_map,
     eval_map_grid,
     kantorovich_patches,
@@ -40,7 +41,13 @@ from ktsolve.basis import (
     derivative_bi,
     eval_bi,
 )
-from ktsolve.bounding import bounding_interval_bi, bounding_polytope, contains_origin
+from ktsolve.bounding import (
+    bounding_interval_bi,
+    bounding_polytope,
+    contains_origin,
+    gamma,
+    theta,
+)
 from ktsolve.reparam import reparametrize
 from ktsolve.solver import _excluded_by_one_component, _Frame
 
@@ -53,21 +60,21 @@ FULL = Patch((0.5, 0.5), 0.5)
 # which zeros it reports. Counters per (seed, basis): patches_examined,
 # exclusion_passes, kantorovich_passes, skipped_subsumed, len(unresolved).
 PROTOCOL_COUNTERS = {
-    (600, Basis.POWER): (93, 56, 3, 14, 0),
-    (600, Basis.BERNSTEIN): (69, 38, 3, 14, 0),
-    (600, Basis.CHEBYSHEV): (93, 56, 3, 14, 0),
-    (601, Basis.POWER): (53, 28, 2, 12, 0),
-    (601, Basis.BERNSTEIN): (41, 19, 2, 12, 0),
-    (601, Basis.CHEBYSHEV): (53, 28, 2, 12, 0),
-    (602, Basis.POWER): (93, 51, 3, 19, 0),
-    (602, Basis.BERNSTEIN): (65, 32, 3, 17, 0),
-    (602, Basis.CHEBYSHEV): (93, 51, 3, 19, 0),
-    (603, Basis.POWER): (105, 64, 3, 15, 0),
-    (603, Basis.BERNSTEIN): (69, 37, 3, 15, 0),
-    (603, Basis.CHEBYSHEV): (101, 61, 3, 15, 0),
-    (604, Basis.POWER): (105, 66, 2, 13, 0),
-    (604, Basis.BERNSTEIN): (73, 46, 2, 9, 0),
-    (604, Basis.CHEBYSHEV): (105, 66, 2, 13, 0),
+    (600, Basis.POWER): (93, 65, 3, 5, 0),
+    (600, Basis.BERNSTEIN): (69, 47, 3, 5, 0),
+    (600, Basis.CHEBYSHEV): (93, 65, 3, 5, 0),
+    (601, Basis.POWER): (53, 34, 2, 6, 0),
+    (601, Basis.BERNSTEIN): (41, 25, 2, 6, 0),
+    (601, Basis.CHEBYSHEV): (53, 34, 2, 6, 0),
+    (602, Basis.POWER): (101, 70, 5, 6, 0),
+    (602, Basis.BERNSTEIN): (65, 45, 3, 4, 0),
+    (602, Basis.CHEBYSHEV): (101, 70, 5, 6, 0),
+    (603, Basis.POWER): (105, 67, 3, 12, 0),
+    (603, Basis.BERNSTEIN): (69, 40, 3, 12, 0),
+    (603, Basis.CHEBYSHEV): (101, 64, 3, 12, 0),
+    (604, Basis.POWER): (105, 73, 2, 6, 0),
+    (604, Basis.BERNSTEIN): (73, 49, 2, 6, 0),
+    (604, Basis.CHEBYSHEV): (105, 73, 2, 6, 0),
 }
 # Certificates per (seed, basis) to 12 significant digits:
 # (condition_estimate, [(rho_star, omega_star) per zero, zeros sorted by location]).
@@ -75,115 +82,115 @@ PROTOCOL_CERTIFICATES = {
     (600, Basis.POWER): (
         473.172115091,
         [
-            (0.112325489521, 17.8053869278),
-            (0.103215515614, 19.3769199789),
-            (0.11160492897, 17.9203478098),
+            (0.0224716165488, 10.5741305147),
+            (0.0192934377371, 13.1357249424),
+            (0.0197956835844, 12.3022762863),
         ],
     ),
     (600, Basis.BERNSTEIN): (
         471.353217986,
         [
-            (0.115586876869, 17.3029897314),
-            (0.105210781097, 19.0094556943),
-            (0.112881243229, 17.7177267978),
+            (0.0225251341169, 10.5192347714),
+            (0.0193469553052, 13.0900792625),
+            (0.0198492011525, 12.2845144359),
         ],
     ),
     (600, Basis.CHEBYSHEV): (
         461.882446129,
         [
-            (0.113896846771, 17.5597453929),
-            (0.104188084602, 19.1960519432),
-            (0.112233400345, 17.8200050207),
+            (0.0225791072872, 10.5521727783),
+            (0.0194009284755, 13.1184858285),
+            (0.0199031743228, 12.2977834189),
         ],
     ),
     (601, Basis.POWER): (
         494.212150712,
         [
-            (0.116763949394, 17.1285625171),
-            (0.10834389925, 18.4597268009),
+            (0.0418569601613, 12.1432650438),
+            (0.0502653068701, 14.3615657911),
         ],
     ),
     (601, Basis.BERNSTEIN): (
         484.736951613,
         [
-            (0.116763949394, 17.1285625171),
-            (0.10834389925, 18.4597268009),
+            (0.0419639952975, 12.1528372325),
+            (0.0503723420062, 14.3692473487),
         ],
     ),
     (601, Basis.CHEBYSHEV): (
         492.960732034,
         [
-            (0.116763949394, 17.1285625171),
-            (0.10834389925, 18.4597268009),
+            (0.0420719416381, 12.1624953729),
+            (0.0504802883469, 14.3769961935),
         ],
     ),
     (602, Basis.POWER): (
         691.054179381,
         [
-            (0.0924551486969, 21.6321103415),
-            (0.0798264741898, 25.054337196),
-            (0.0660398602486, 30.284719568),
+            (0.015372392665, 12.5555185464),
+            (0.00861798112992, 17.4468746511),
+            (0.0225020990481, 25.3256765699),
         ],
     ),
     (602, Basis.BERNSTEIN): (
         675.325005619,
         [
-            (0.0965678095818, 20.7108216015),
-            (0.0798264741898, 25.054337196),
-            (0.0666587352753, 30.0035674734),
+            (0.0159324089826, 14.7877386942),
+            (0.00864473991395, 17.4497101422),
+            (0.0225556166162, 25.2415145303),
         ],
     ),
     (602, Basis.CHEBYSHEV): (
         674.078817184,
         [
-            (0.0943949222565, 21.1875714036),
-            (0.0798264741898, 25.054337196),
-            (0.0663453936577, 30.1452445915),
+            (0.0154798834033, 12.4960726527),
+            (0.00867172649911, 17.4525699506),
+            (0.022609589787, 25.2982014472),
         ],
     ),
     (603, Basis.POWER): (
         1105.1031577,
         [
-            (0.0985341668129, 20.2975243204),
-            (0.0875638723373, 22.8404562374),
-            (0.0530801713467, 37.6788376636),
+            (0.0492797873281, 17.1833350123),
+            (0.0282582423588, 14.7200642524),
+            (0.0131528399449, 29.1343415073),
         ],
     ),
     (603, Basis.BERNSTEIN): (
         1088.67221769,
         [
-            (0.0996885299683, 20.0624867135),
-            (0.0911429524422, 21.9435303409),
-            (0.053393214941, 37.4579417497),
+            (0.0493868224642, 17.0564243827),
+            (0.0283117599269, 14.4643492692),
+            (0.0131795987289, 29.1150399264),
         ],
     ),
     (603, Basis.CHEBYSHEV): (
         1098.71399861,
         [
-            (0.0991023778915, 20.1811442022),
-            (0.0903537869453, 22.1351949048),
-            (0.053235411644, 37.5689500844),
+            (0.0494947688054, 17.1336078628),
+            (0.0283657330972, 14.5906776055),
+            (0.0132065853141, 29.1331133732),
         ],
     ),
     (604, Basis.POWER): (
         3278.58724006,
         [
-            (0.0198743492365, 100.632201003),
-            (0.120497465134, 16.5978550721),
+            (0.00225258265443, 89.5382422423),
+            (0.0622235892742, 11.2426646605),
         ],
     ),
     (604, Basis.BERNSTEIN): (
         3224.05878903,
         [
-            (0.0199045240879, 100.479608723),
-            (0.121047616005, 16.5224046879),
+            (0.00225927235044, 89.536363032),
+            (0.0623306244104, 11.184997065),
         ],
     ),
     (604, Basis.CHEBYSHEV): (
         3228.09303714,
         [
-            (0.0198893994093, 100.556009283),
-            (0.12184035778, 16.4149203398),
+            (0.00226601899673, 89.5448099995),
+            (0.062438570751, 11.1768209034),
         ],
     ),
 }
@@ -585,6 +592,19 @@ class TestKantorovich:
         loc, _ = newton(f, (0.6, 0.6))
         assert np.max(np.abs(loc - [0.5, 0.5])) < 1e-10
 
+    def test_kantorovich_ball_must_lie_where_omega_holds(self):
+        """The theorem's premise: the ball of radius rho_minus about the
+        centre lies in the ball of radius R = 2 gamma hw where omega holds.
+        An affine map has omega = 0 and rho_minus = eta, so a small patch
+        a distance 0.1 from the root meets every other clause and fails on
+        this one alone."""
+        x = Patch((0.4, 0.5), 2**-6)
+        out = kantorovich_test(affine_center_root(), x)
+        assert out.radius == 2.0 * gamma(theta(Basis.POWER, 1, 1)) * 2**-6
+        assert out.omega == 0.0 and out.eta * out.omega <= 0.25 and out.ball_in_dprime
+        assert out.rho_minus == out.eta > out.radius
+        assert not out.passed
+
     def test_soundness(self):
         """A pass means Newton converges within rho_minus of the center."""
         rng = np.random.default_rng(73)
@@ -793,23 +813,90 @@ class TestValueAndJacobian:
                     kts_solve(f)
 
 
-class TestRhoStar:
-    def test_affine_caps(self):
-        rho, omega = rho_star(affine_center_root(), np.array([0.5, 0.5]))
-        assert rho == 4.0
-        assert omega == 0.0
+def closed_form_radius(x, outcome, zero):
+    """min(rho_plus, R) - |zero - x0| with rho_plus = (1 + sqrt(1 - 2h)) / omega,
+    and whether rho_plus <= R, where the uniqueness ball is open."""
+    eta, omega = outcome.eta, outcome.omega
+    rho_plus = (1.0 + math.sqrt(1.0 - 2.0 * eta * omega)) / omega if omega else math.inf
+    d = float(np.max(np.abs(np.asarray(zero) - np.asarray(x.center))))
+    return min(rho_plus, outcome.radius) - d, rho_plus <= outcome.radius
 
-    def test_fixed_point_residual(self):
-        """At the fixed point, rho times its Lipschitz bound is 2."""
-        rho, omega = rho_star(quad_pair(), np.array([0.5, 0.5]))
-        assert 1.999 <= rho * omega <= 2.001
+
+def assert_radius_matches(rho, omega, x, outcome, zero):
+    """rho is the closed form, >= 0: a few ulps below it where the ball is
+    open or where rounding left its product with omega above 2, and equal
+    to it otherwise."""
+    want, open_ball = closed_form_radius(x, outcome, zero)
+    assert omega == outcome.omega
+    assert 0.0 <= rho and rho * omega <= 2.0
+    if open_ball or want * omega > 2.0:
+        assert want - 4.0 * math.ulp(want) <= rho < want
+    else:
+        assert rho == want
+
+
+class TestRhoStar:
+    """rho_star reads the radius off the Kantorovich test that certified
+    the zero: r = min(rho_plus, R) - |zero - x0|."""
+
+    def test_affine_caps(self):
+        """omega = 0 makes rho_plus infinite, so R caps the radius. With
+        the root at the unit square's centre, d = 0 and r = R = gamma; off
+        the centre, r = R - d."""
+        f = affine_center_root()
+        out = kantorovich_test(f, FULL)
+        rho, omega = rho_star(FULL, out, (0.5, 0.5))
+        assert (rho, omega) == (1.0004880430639678, 0.0)
+        assert rho == out.radius == gamma(theta(Basis.POWER, 1, 1))
+        x = Patch((0.4375, 0.5625), 0.125)
+        out = kantorovich_test(f, x)
+        rho, omega = rho_star(x, out, (0.5, 0.5))
+        assert (rho, omega) == (out.radius - 0.0625, 0.0)
+
+    def test_zero_on_the_edge_of_a_ball_is_reported(self):
+        """F = ((x - 1/4)(x - 3/4), y - 1/4): at (1/4, 1/4) eta = 0 and omega
+        = 4, so rho_plus = 1/2 is exactly the distance to the other zero.
+        The uniqueness ball is open there, so each zero's radius stays
+        below 1/2 and neither is taken for the other."""
+        grid = np.zeros((3, 2, 2))
+        grid[0, 0] = (0.1875, -0.25)
+        grid[1, 0] = (-1.0, 0.0)
+        grid[2, 0] = (1.0, 0.0)
+        grid[0, 1] = (0.0, 1.0)
+        report = kts_solve(unit_power_system(grid))
+        got = [(tuple(z.location), z.rho_star, z.omega_star) for z in report.zeros]
+        below = math.nextafter(0.5, 0.0)
+        assert got == [((0.25, 0.25), below, 4.0), ((0.75, 0.25), below, 4.0)]
+
+    def test_closed_form(self):
+        """Near the quadratic pair's zero (0.5, 0.5) the radius is the
+        closed form over the test's numbers, rho * omega <= 2, and the
+        ball leaves out the other zero (-0.5, 0.5)."""
+        f = quad_pair()
+        for x in (Patch((0.6, 0.6), 0.1), Patch((0.52, 0.47), 0.05), FULL):
+            out = kantorovich_test(f, x)
+            assert out.passed, x
+            zero, _ = newton(f, x.center)
+            rho, omega = rho_star(x, out, zero)
+            assert_radius_matches(rho, omega, x, out, zero)
+            assert rho > float(np.max(np.abs(zero - [0.5, 0.5])))
+            assert rho < float(np.max(np.abs(zero - [-0.5, 0.5])))
+
+    def test_failing_test_certifies_no_radius(self):
+        f = quad_pair()
+        x = Patch((0.25, 0.25), 0.25)
+        out = kantorovich_test(f, x)
+        assert not out.passed
+        with pytest.raises(ValueError, match="passing Kantorovich test"):
+            rho_star(x, out, (0.5, 0.5))
 
     def test_scale_invariance(self):
         """Scaling F by 10 leaves the certified radius unchanged."""
         f = quad_pair()
         scaled = BivariateSystem(f.basis, 10.0 * f.coeffs)
-        r1, w1 = rho_star(f, np.array([0.5, 0.5]))
-        r2, w2 = rho_star(scaled, np.array([0.5, 0.5]))
+        x = Patch((0.6, 0.6), 0.1)
+        r1, w1 = rho_star(x, kantorovich_test(f, x), newton(f, x.center)[0])
+        r2, w2 = rho_star(x, kantorovich_test(scaled, x), newton(scaled, x.center)[0])
         assert abs(r1 - r2) < 1e-9
         assert abs(w1 - w2) < 1e-9
 
@@ -830,7 +917,7 @@ class TestKtsSolve:
         assert len(report.zeros) == 1
         z = report.zeros[0]
         assert np.max(np.abs(z.location - [0.5, 0.5])) < 1e-10
-        assert z.rho_star == 4.0
+        assert z.rho_star == gamma(theta(Basis.POWER, 1, 1)) == 1.0004880430639678
         assert z.omega_star == 0.0
         assert z.newton_iterations == 0
         assert report.patches_examined == 5
@@ -924,16 +1011,18 @@ class TestKtsSolve:
             assert r.patches_examined == 1 + 4 * subdivided
 
     def test_zero_record_certificates(self):
-        """rho*, omega* near the fixed point unless capped; tiny residuals."""
+        """rho*, omega* are the closed form over the certifying test's
+        numbers, with rho* >= 0 and rho* omega* <= 2; tiny residuals."""
         rng = np.random.default_rng(81)
         cfg = SolverConfig()
         for _ in range(5):
             f = random_system(rng, Basis.CHEBYSHEV, 3, 3)
-            for z in kts_solve(f, cfg).zeros:
+            report, calls = certified_balls(f)
+            for z in report.zeros:
                 resid = np.max(np.abs(eval_map(f, z.location[0], z.location[1])))
                 assert resid <= cfg.newton_tol * (1.0 + f.max_coeff_norm())
-                product = z.rho_star * z.omega_star
-                assert z.rho_star == 4.0 or 1.999 <= product <= 2.001
+                (x, outcome, zero), = (c for c in calls if c[2] == tuple(z.location))
+                assert_radius_matches(z.rho_star, z.omega_star, x, outcome, zero)
 
     def test_certificates_satisfy_their_inequality(self):
         """Every reported zero keeps rho * omega <= 2 as computed."""
@@ -942,6 +1031,27 @@ class TestKtsSolve:
             for basis in BASES:
                 for z in kts_solve(convert(f, basis)).zeros:
                     assert z.rho_star * z.omega_star <= 2.0, (seed, basis, z)
+
+    def test_balls_hold_one_reference_zero(self):
+        """Protocol systems 600-619 in every basis: each reported ball
+        B(L, rho*) holds exactly one reference_zeros zero, and rho* is the
+        closed form over the outcome of the test that certified it, whose
+        omega holds on R = 2 gamma hw about the patch's centre and whose
+        Kantorovich ball lies there."""
+        for seed in range(600, 620):
+            g = protocol_system(seed)
+            want = np.array(reference_zeros(g)).reshape(-1, 2)
+            for basis in BASES:
+                f = convert(g, basis)
+                two_gamma = 2.0 * gamma(theta(basis, f.degree_u, f.degree_v))
+                report, calls = certified_balls(f)
+                for z in report.zeros:
+                    (x, outcome, zero), = (c for c in calls if c[2] == tuple(z.location))
+                    assert outcome.radius == two_gamma * x.half_width
+                    assert outcome.rho_minus <= outcome.radius
+                    assert_radius_matches(z.rho_star, z.omega_star, x, outcome, zero)
+                    inside = np.max(np.abs(want - z.location), axis=1) <= z.rho_star
+                    assert np.count_nonzero(inside) == 1, (seed, basis, z)
 
     def test_protocol_fingerprints(self):
         """Counters, zero sets and certificates of the protocol systems stay
@@ -1120,7 +1230,7 @@ class TestKtsSolve:
             got = kts_solve(BivariateSystem(Basis.CHEBYSHEV, s * signs), cfg)
             unit_size = np.ldexp(s * signs, -math.frexp(s)[1])
             want = kts_solve(BivariateSystem(Basis.CHEBYSHEV, unit_size), cfg)
-        assert report_counters(unit) == (81, 46, 3, 15, 0) and len(unit.zeros) == 3
+        assert report_counters(unit) == (81, 53, 3, 8, 0) and len(unit.zeros) == 3
         assert solve_signature(got) == solve_signature(want)
         assert report_counters(got) == report_counters(unit)
         for g, u in zip(sorted_zero_locations(got), sorted_zero_locations(unit)):
@@ -1173,11 +1283,11 @@ class TestKtsSolve:
     def test_floor_patch_inside_certified_ball_is_subsumed(self):
         """A patch at the width floor is not unresolved when the ball
         certified at it covers it: here the root patch itself, whose
-        zero is certified with rho* = 4."""
+        zero is certified with rho* = R = gamma > 1/2."""
         for basis in BASES:
             f = convert(affine_center_root(), basis)
             report = kts_solve(f, SolverConfig(min_half_width=0.5))
-            assert [z.rho_star for z in report.zeros] == [4.0], basis
+            assert [z.rho_star for z in report.zeros] == [gamma(theta(basis, 1, 1))], basis
             assert not report.unresolved, basis
             assert (report.patches_examined, report.skipped_subsumed) == (1, 1), basis
 
